@@ -19,12 +19,13 @@ Layering (bottom-up):
   single-matrix search indexes with their batch kernels;
 * :mod:`repro.protocols` — the paper's figures as actors and messages
   (device, server, transport, runners, adversaries, workload simulation)
-  plus the flat helper-data record store;
+  plus the stored record type ``UserRecord``;
 * :mod:`repro.engine` — the scale-out identification engine: hash-sharded
   parallel search over the core kernels, ``(B, n)`` batch probes,
   mmap-backed shard persistence (O(1) open), and serving counters.  It
   builds on the core kernels and the protocol layer's record type, and
-  drops in as the server's store (``AuthenticationServer.with_engine``;
+  is the server's only helper-data store (an in-memory single-shard
+  engine by default, a sharded one via ``AuthenticationServer.with_engine``;
   server/simulation import it lazily to keep the graph acyclic);
 * :mod:`repro.service` — the concurrent serving layer on top of both:
   a bounded-admission ``ServiceFrontend`` that micro-batches concurrent

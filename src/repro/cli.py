@@ -19,9 +19,9 @@ The subcommands cover the workflows a user reaches for first:
 ``simulate``
     Deployment workload simulation: N users, M identification requests
     with a genuine/stranger/noisy traffic mix; prints throughput and
-    latency percentiles.  ``--engine-shards W`` serves the workload from
-    the sharded identification engine instead of the flat store and
-    appends the engine's counters to the report.
+    latency percentiles, then the identification engine's counters.
+    ``--engine-shards W`` splits the engine the workload is served from
+    into W shards (default: 1).
 
 ``engine-bench``
     Sketch-search throughput shootout: single-probe loop vs the batch
@@ -175,37 +175,30 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.crypto.signatures import get_scheme
+    from repro.engine.engine import IdentificationEngine
     from repro.protocols.simulation import TrafficMix, WorkloadSimulator
 
     params = _params_from(args)
     mix = TrafficMix(genuine=args.genuine, stranger=args.stranger,
                      noisy_genuine=round(1.0 - args.genuine - args.stranger, 9))
     scheme = get_scheme(args.scheme)
-    store_factory = None
-    if args.engine_shards:
-        from repro.engine.engine import IdentificationEngine
-
-        def store_factory(p):
-            return IdentificationEngine(p, shards=args.engine_shards,
-                                        workers=args.workers)
+    store = IdentificationEngine(params, shards=args.engine_shards,
+                                 workers=args.workers)
     if args.frontend:
         simulator = WorkloadSimulator.with_frontend(
             params, scheme, n_users=args.users, mix=mix, seed=args.seed,
-            store_factory=store_factory)
+            store=store)
     else:
         simulator = WorkloadSimulator(params, scheme, n_users=args.users,
-                                      mix=mix, seed=args.seed,
-                                      store_factory=store_factory)
+                                      mix=mix, seed=args.seed, store=store)
     try:
         report = simulator.run(args.requests)
     finally:
         simulator.close()
     for line in report.summary_lines():
         print(line)
-    stats = simulator.engine_stats()
-    if stats is not None:
-        for line in stats.summary_lines():
-            print(line)
+    for line in simulator.engine_stats().summary_lines():
+        print(line)
     if args.frontend:
         for line in simulator.endpoint.stats().summary_lines():
             print(line)
@@ -638,9 +631,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="stranger traffic fraction (default: 0.15)")
     simulate.add_argument("--scheme", default="dsa-1024")
     simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--engine-shards", type=int, default=0,
-                          help="serve from a sharded identification engine "
-                               "with this many shards (0 = classic store)")
+    simulate.add_argument("--engine-shards", type=int, default=1,
+                          help="shards of the identification engine the "
+                               "workload is served from (default: 1)")
     simulate.add_argument("--workers", type=int, default=None,
                           help="engine worker threads (default: serial)")
     simulate.add_argument("--frontend", action="store_true",

@@ -17,10 +17,9 @@ answers it *at service scale*.  Layering (bottom-up):
 * :mod:`repro.engine.journal` — the crash-safe write-ahead log, in two
   entry formats: ``record`` (pre-lifecycle, bare record encodings) and
   ``typed`` (opcode-tagged lifecycle entries);
-* :mod:`repro.engine.engine` — :class:`IdentificationEngine`, the facade the
-  protocol layer serves traffic through (drop-in for
-  :class:`~repro.protocols.database.HelperDataStore`, plus batch probes,
-  persistence, warm-up, and counters).  **Versioned record model**: each
+* :mod:`repro.engine.engine` — :class:`IdentificationEngine`, the one
+  helper-data store the protocol layer serves traffic through (records,
+  batch probes, persistence, warm-up, and counters).  **Versioned record model**: each
   identity holds an append-only list of sketch versions; exactly one may
   be *active* (the one identification searches), older ones stay
   *verify-only* until revoked, rotated-away ones are *superseded*.

@@ -1,13 +1,13 @@
 """The identification engine facade.
 
-:class:`IdentificationEngine` is the production-shaped front door to the
-paper's identification search: a sharded, batch-capable, mmap-persistable
-replacement for the in-memory
-:class:`~repro.protocols.database.HelperDataStore`.  It exposes the same
-record-store surface (``add`` / ``get`` / ``find_by_sketch`` /
-``all_records`` / iteration / ``replace_helper``), so an
-:class:`~repro.protocols.server.AuthenticationServer` can run on top of it
-unchanged, and adds what a serving deployment needs:
+:class:`IdentificationEngine` is the authentication server's helper-data
+store and the front door to the paper's identification search: sharded,
+batch-capable and mmap-persistable.  Its record-store surface (``add`` /
+``get`` / ``find_by_sketch`` / ``all_records`` / iteration /
+``replace_helper``) is what
+:class:`~repro.protocols.server.AuthenticationServer` serves from (an
+in-memory single-shard engine by default), and it adds what a serving
+deployment needs:
 
 * ``search_batch`` / ``find_by_sketch_batch`` — evaluate a ``(B, n)``
   probe matrix in one vectorised pass instead of ``B`` Python-level
@@ -310,8 +310,7 @@ class IdentificationEngine:
     def add(self, record: UserRecord) -> None:
         """Enroll a new identity; refuses duplicates (any version state).
 
-        Mirrors :meth:`HelperDataStore.add` so the server can use the
-        engine as its store unchanged.  Re-activating or refreshing an
+        Re-activating or refreshing an
         existing identity goes through :meth:`reenroll` / :meth:`rotate`.
         """
         if record.user_id in self._version_map():
@@ -515,8 +514,7 @@ class IdentificationEngine:
     def replace_helper(self, user_id: str, helper_data: bytes) -> None:
         """Overwrite a stored helper blob (the Section VI insider move).
 
-        Like :meth:`HelperDataStore.replace_helper`, the sketch index is
-        deliberately *not* refreshed — an insider rewrites bytes at rest,
+        The sketch index is deliberately *not* refreshed — an insider rewrites bytes at rest,
         not the server's in-memory structures.
         """
         row = self._identity_map().get(user_id)

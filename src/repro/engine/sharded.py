@@ -136,11 +136,10 @@ class _Shard:
 class ShardedSketchIndex:
     """W-way hash-partitioned sketch index with batch and parallel search.
 
-    Drop-in compatible with the flat indexes (``add`` / ``add_many`` /
-    ``search`` / ``len``) so :class:`~repro.protocols.database.HelperDataStore`
-    can use it as an ``index_factory``; adds :meth:`search_batch` — the
-    ``(B, n)`` probe-matrix entry point the identification engine serves
-    traffic through.
+    Shares the flat indexes' surface (``add`` / ``add_many`` /
+    ``search`` / ``len``) and adds :meth:`search_batch` — the ``(B, n)``
+    probe-matrix entry point the identification engine serves traffic
+    through.
 
     Parameters
     ----------

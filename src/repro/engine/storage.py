@@ -1,9 +1,9 @@
 """mmap-backed persistence for the identification engine.
 
-The JSONL store (:mod:`repro.protocols.database`) re-parses every record
-on load — fine for thousands of users, hopeless for millions.  This module
-writes an engine's state as a *directory* of flat binary files that
-``np.memmap`` can open in O(1):
+A store that re-parses every record on load is fine for thousands of
+users and hopeless for millions.  This module writes an engine's state
+as a *directory* of flat binary files that ``np.memmap`` can open in
+O(1):
 
 ``manifest.json``
     Small JSON header: format version, system parameters, shard count,
@@ -35,8 +35,8 @@ through a compatibility shim: every row reads as an active version and
 ``journal_seq`` defaults to the record count — exactly the semantics it
 was saved with.  The next save writes format 2.
 
-Everything stored is public helper data (same trust model as the JSONL
-store: integrity matters, confidentiality does not).
+Everything stored is public helper data: integrity matters,
+confidentiality does not.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -114,30 +115,32 @@ class LazyRecordFile:
 
     Holds the memmapped offset table and reads one record's byte range
     from ``records.bin`` on demand — the store's record count never
-    influences open time.
+    influences open time.  Reads are positional (``os.pread``) on one
+    shared descriptor, so concurrent lookups (the verify pool's) never
+    read at each other's file offsets.
     """
 
     def __init__(self, path: Path, offsets: np.ndarray) -> None:
         self._path = path
         self._offsets = offsets
-        self._handle = None
+        self._fd: int | None = None
+        self._fd_lock = threading.Lock()
 
     def __len__(self) -> int:
         return max(self._offsets.shape[0] - 1, 0)
 
-    def _file(self):
-        if self._handle is None:
-            self._handle = self._path.open("rb")
-        return self._handle
+    def _descriptor(self) -> int:
+        with self._fd_lock:
+            if self._fd is None:
+                self._fd = os.open(self._path, os.O_RDONLY)
+            return self._fd
 
     def __getitem__(self, row: int) -> UserRecord:
         if not 0 <= row < len(self):
             raise IndexError(f"record {row} out of range 0..{len(self) - 1}")
         start = int(self._offsets[row])
         stop = int(self._offsets[row + 1])
-        handle = self._file()
-        handle.seek(start)
-        blob = handle.read(stop - start)
+        blob = os.pread(self._descriptor(), stop - start, start)
         if len(blob) != stop - start:
             raise ParameterError(
                 f"record {row}: records.bin truncated "
@@ -150,10 +153,11 @@ class LazyRecordFile:
             yield self[row]
 
     def close(self) -> None:
-        """Release the underlying file handle (reopened on next access)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        """Release the file descriptor (reopened on next access)."""
+        with self._fd_lock:
+            if self._fd is not None:
+                os.close(self._fd)
+                self._fd = None
 
     def release(self) -> None:
         """Terminal close: the file handle *and* the offset memmap.

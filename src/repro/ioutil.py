@@ -1,9 +1,8 @@
 """Crash-safe file I/O shared by the persistence layers.
 
-Both helper-data stores (the JSONL store in
-:mod:`repro.protocols.database` and the engine shard store in
-:mod:`repro.engine.storage`) promise that a save which dies mid-write
-cannot destroy the previous on-disk state.  The mechanism is the classic
+The engine shard store in :mod:`repro.engine.storage` and the bench
+trajectory writers promise that a save which dies mid-write cannot
+destroy the previous on-disk state.  The mechanism is the classic
 same-directory temp file + ``os.replace`` swap, centralised here so the
 crash-safety logic has exactly one implementation.
 """

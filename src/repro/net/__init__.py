@@ -21,7 +21,8 @@ approach:
   with typed :class:`~repro.protocols.messages.ErrorReply` frames
   instead of killing the accept loop, and per-connection traffic is
   accounted in :class:`~repro.protocols.transport.ChannelStats`;
-* :mod:`repro.net.client` — the blocking :class:`NetworkClient` plus
+* :mod:`repro.net.client` — the blocking :class:`NetworkClient` (one
+  connection, up to ``window`` requests in flight) plus
   :class:`RemoteEndpoint`, a ``ServerEndpoint`` adapter that lets every
   existing runner, simulator, and bench drive a remote server through
   one socket exactly as it drives an in-process one.  Server-side
@@ -40,8 +41,7 @@ protocols (messages, transport stats, the endpoint duck type) and is
 imported only by the CLI, benches, and tests.
 """
 
-from repro.net.client import (NetworkClient, PipelinedNetworkClient,
-                              RemoteEndpoint)
+from repro.net.client import NetworkClient, RemoteEndpoint
 from repro.net.framing import DEFAULT_MAX_FRAME, frame_buffers, frame_message
 from repro.net.server import NetworkServer
 
@@ -49,7 +49,6 @@ __all__ = [
     "DEFAULT_MAX_FRAME",
     "NetworkClient",
     "NetworkServer",
-    "PipelinedNetworkClient",
     "RemoteEndpoint",
     "frame_buffers",
     "frame_message",

@@ -73,7 +73,7 @@ from repro.exceptions import (
     RequestTimeoutError,
     ServiceOverloadError,
 )
-from repro.net.client import PipelinedNetworkClient, RemoteEndpoint
+from repro.net.client import NetworkClient, RemoteEndpoint
 from repro.net.replication import JournalFollower
 from repro.net.resilience import FailoverClient, RetryPolicy
 from repro.net.server import NetworkServer
@@ -438,9 +438,9 @@ def _pipeline_shootout(host: str, port: int, params: SystemParams,
     """Serial-vs-pipelined phases on one connection each.
 
     Phase one drives ``n_requests`` identifications through a single
-    serial :class:`NetworkClient` round trip at a time — the baseline a
-    lone process gets today.  Phase two drives the same-sized workload
-    through ONE :class:`PipelinedNetworkClient` (``window`` in flight)
+    :class:`NetworkClient` round trip at a time — the baseline a lone
+    process gets at window 1.  Phase two drives the same-sized workload
+    through ONE :class:`NetworkClient` (``window`` in flight)
     with ``window`` driver threads sharing the connection.  Returns
     ``(serial_ids_per_s, pipelined_elapsed_s, pipelined_latencies_ms,
     pipelined_wire_bytes)``.
@@ -470,7 +470,7 @@ def _pipeline_shootout(host: str, port: int, params: SystemParams,
     errors: list[BaseException] = []
     barrier = threading.Barrier(window + 1)
 
-    def driver(d: int, client: PipelinedNetworkClient) -> None:
+    def driver(d: int, client: NetworkClient) -> None:
         mine: list[float] = []
         remote = RemoteEndpoint(client)  # shared connection, not owned
         try:
@@ -482,7 +482,7 @@ def _pipeline_shootout(host: str, port: int, params: SystemParams,
         with latency_lock:
             latencies.extend(mine)
 
-    with PipelinedNetworkClient(host, port, window=window) as client:
+    with NetworkClient(host, port, window=window) as client:
         threads = [threading.Thread(target=driver, args=(d, client),
                                     name=f"pipe-driver-{d}")
                    for d in range(window)]
@@ -517,7 +517,7 @@ def run_net_bench(dimension: int = 128, n_users: int | None = None,
     ``pipeline=N`` (``N > 1``) switches the measured phase to the
     single-connection shootout: first ``n_requests`` identifications
     through ONE serial client (the ``serial_ids_per_s`` baseline), then
-    the same workload through ONE :class:`PipelinedNetworkClient` with
+    the same workload through ONE :class:`NetworkClient` with
     an ``N``-request window driven by ``N`` threads — so the reported
     throughput is what one process, one socket sustains when it stops
     waiting a full round trip per request.  The identify mix only;

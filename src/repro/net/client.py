@@ -3,11 +3,11 @@
 :class:`NetworkClient` is deliberately synchronous: the device side of
 this codebase — runners, the workload simulator, the closed-loop bench
 clients — is plain threaded Python, and a blocking socket drops into it
-without an event loop.  One client is one TCP connection carrying a
-strict request/reply stream; a lock serialises round trips so a client
-instance is safe to share between threads, but closed-loop load wants
-one client (one connection) per thread to keep requests concurrent on
-the server.
+without an event loop.  One client is one TCP connection carrying up
+to ``window`` requests in flight (one by default: a strict
+request/reply stream).  A client is safe to share between threads;
+closed-loop load wants either one client per thread or a window as wide
+as the threads sharing it, to keep requests concurrent on the server.
 
 :class:`RemoteEndpoint` wraps a client in the ``ServerEndpoint`` duck
 type from :mod:`repro.protocols.runners`, so ``run_identification`` and
@@ -89,7 +89,7 @@ def _raise_error_reply(reply: ErrorReply) -> None:
     if reply.code == "expired":
         # The server shed this request because its deadline budget ran
         # out — a typed reply, so (unlike a client-side timeout) it
-        # stays per-request and never poisons a pipelined connection.
+        # stays per-request and never poisons the connection.
         err = DeadlineExceededError(reply.detail)
         err.retry_after_ms = reply.retry_after_ms()
         raise err
@@ -126,23 +126,47 @@ def _map_transport_error(exc: Exception) -> Exception:
 
 
 class NetworkClient:
-    """One blocking TCP connection speaking length-prefixed messages.
+    """One TCP connection speaking length-prefixed messages, with up to
+    ``window`` requests in flight.
 
     Parameters
     ----------
     host / port:
         The :class:`~repro.net.server.NetworkServer` address.
     timeout_s:
-        Socket timeout for connect and every read/write; a wedged
-        server surfaces as the stdlib ``TimeoutError``, never a hang.
-        Any mid-exchange failure — timeout, reset, malformed frame —
-        closes the connection: a strict request/reply stream cannot be
-        resynchronised once an exchange is abandoned, so a later
-        :meth:`request` raises
-        :class:`~repro.exceptions.ServiceClosedError` rather than
-        risking a stale reply.  Reconnect with a fresh client.
+        Connect timeout and the default wait for each reply; a server
+        that stops answering surfaces as
+        :class:`~repro.exceptions.RequestTimeoutError` (a stdlib
+        ``TimeoutError``).
     max_frame:
         Per-frame cap, matching the server's.
+    window:
+        Requests outstanding on the connection at once.  ``1`` is the
+        strict request/reply stream; more lets threads sharing the
+        client keep one connection busy.
+
+    :meth:`submit` sends a frame and returns a future; a reader thread
+    decodes replies as they arrive and — because the server answers in
+    request order (windowed in-order pipelining; the framing carries no
+    request ids) — resolves the oldest outstanding future.  The next
+    :meth:`submit` blocks while ``window`` requests are outstanding,
+    which keeps client-side memory bounded and stays inside the
+    server's own read-ahead window.  :meth:`request` is the blocking
+    submit-wait-map round trip, so ``N`` threads sharing one client
+    (e.g. via :class:`RemoteEndpoint` wrappers) drive ``min(N, window)``
+    requests in flight — the shape ``net-bench --pipeline`` measures.
+
+    Failures are connection-wide: any transport failure (a reply wait
+    expiring, a reset, a torn or malformed frame) desynchronises the
+    in-order reply stream, so it poisons the connection and fails
+    *every* outstanding future with the mapped exception; later requests
+    raise :class:`~repro.exceptions.ConnectionLostError` ("spent")
+    rather than risk reading a stale reply, and after :meth:`close`
+    they raise :class:`~repro.exceptions.ServiceClosedError`.
+    Reconnect with a fresh client.  Typed ``ErrorReply`` frames stay
+    per-request: they resolve only their own future (raised from
+    :meth:`request` as the mapped exception) and leave the stream
+    healthy.
 
     Traffic is accounted per direction in
     :class:`~repro.protocols.transport.ChannelStats` (``to_server`` /
@@ -152,96 +176,180 @@ class NetworkClient:
     """
 
     def __init__(self, host: str, port: int, timeout_s: float = 30.0,
-                 max_frame: int = DEFAULT_MAX_FRAME) -> None:
+                 max_frame: int = DEFAULT_MAX_FRAME,
+                 window: int = 1) -> None:
+        if window < 1:
+            raise ValueError("window must be >= 1")
         self.max_frame = max_frame
         self.timeout_s = timeout_s
+        self.window = window
         self.to_server = ChannelStats()
         self.to_device = ChannelStats()
-        #: Trace id from the last enveloped reply (``None`` when the
-        #: last reply was bare); set before error frames raise.
+        #: Trace id from the last reply :meth:`request` returned (``None``
+        #: when it was bare); set before error frames raise.  Shared
+        #: state, so meaningless when threads share the client.
         self.last_trace_id: bytes | None = None
-        self._lock = threading.Lock()
-        self._sock: socket.socket | None = socket.create_connection(
-            (host, port), timeout=timeout_s)
+        self._sock = socket.create_connection((host, port),
+                                              timeout=timeout_s)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        # The reader blocks in recv with no socket deadline: between
+        # requests there is legitimately nothing to read, and a reply
+        # may legally queue behind window-1 others.  Reply waits are
+        # bounded on the futures instead, and the reader is woken by
+        # the shutdown in _poison (close() poisons too).
+        self._sock.settimeout(None)
+        self._slots = threading.BoundedSemaphore(window)
+        self._send_lock = threading.Lock()
+        self._pending_lock = threading.Lock()
+        self._pending: deque[Future] = deque()
+        self._fatal: Exception | None = None
+        self._closing = False
+        self._reader = threading.Thread(
+            target=self._read_loop, name="net-client-reader", daemon=True)
+        self._reader.start()
 
     @property
     def total_bytes(self) -> int:
         """Wire bytes moved in both directions (frame prefixes included)."""
         return self.to_server.wire_bytes + self.to_device.wire_bytes
 
-    def request(self, message: Message,
-                trace_id: bytes | None = None,
-                deadline_s: float | None = None,
-                budget_ms: int | None = None) -> Message:
-        """One round trip: send ``message``, return the decoded reply.
+    # -- reader side --------------------------------------------------------
 
-        ``deadline_s`` overrides the connection's default ``timeout_s``
-        for this request only (health probes want a short fuse while
-        protocol requests keep the long one).  Either way every read
-        and write carries a deadline — a stalled server surfaces as
-        :class:`~repro.exceptions.RequestTimeoutError`, never a hang.
+    def _read_loop(self) -> None:
+        """Decode replies as they arrive; FIFO-match them to futures."""
+        try:
+            while True:
+                payload = recv_frame(self._sock, self.max_frame)
+                if payload is None:
+                    raise ConnectionLostError(
+                        "server closed the connection")
+                self.to_device.record(len(payload) + PREFIX_BYTES, 0.0)
+                reply = Message.decode(payload)
+                with self._pending_lock:
+                    future = (self._pending.popleft()
+                              if self._pending else None)
+                if future is None:
+                    raise ProtocolError(
+                        "server sent a reply with no request outstanding")
+                future.set_result(reply)
+        except Exception as exc:  # noqa: BLE001 — any failure poisons
+            # After close() this is a no-op: close poisoned first.
+            self._poison(_map_transport_error(exc))
 
-        ``budget_ms``, when given, *propagates* the deadline to the
-        server in a :class:`~repro.protocols.messages.DeadlineEnvelope`:
-        the server stamps the budget on the queued op and sheds it with
-        ``ErrorReply(code="expired")`` — raised here as
-        :class:`~repro.exceptions.DeadlineExceededError` — once it
-        elapses, instead of computing an answer nobody will read.
-        Requests without a budget stay byte-identical to the
-        pre-deadline wire.  Unless ``deadline_s`` says otherwise, the
-        socket timeout stretches slightly past the budget so the
-        server's own expired verdict (typed, per-request) wins over a
-        client-side timeout (connection-fatal).
+    def _poison(self, exc: Exception) -> None:
+        """Mark the connection spent and fail every outstanding future."""
+        with self._pending_lock:
+            if self._fatal is None:
+                self._fatal = exc
+            orphans, self._pending = list(self._pending), deque()
+        for future in orphans:
+            if not future.done():
+                future.set_exception(exc)
+        try:
+            # recv does not observe a bare close of its own fd; shutdown
+            # is what wakes a reader blocked on a silent server.
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self._sock.close()
+
+    def _spent_error(self) -> Exception:
+        if self._closing:
+            return ServiceClosedError("client connection is closed")
+        return ConnectionLostError(f"connection is spent: {self._fatal}")
+
+    # -- sender side --------------------------------------------------------
+
+    def submit(self, message: Message,
+               trace_id: bytes | None = None,
+               budget_ms: int | None = None) -> Future:
+        """Send ``message`` and return a future for its decoded reply.
+
+        Blocks while ``window`` requests are already outstanding.  The
+        future resolves to the raw reply message (envelopes and error
+        frames included); :meth:`request` is the resolve-and-map wrapper.
+
+        ``budget_ms``, when given, *propagates* a deadline to the server
+        in a :class:`~repro.protocols.messages.DeadlineEnvelope`: the
+        server stamps the budget on the queued op and sheds it with
+        ``ErrorReply(code="expired")`` once it elapses, instead of
+        computing an answer nobody will read.  Requests without a
+        budget stay byte-identical to the pre-deadline wire.
 
         ``trace_id``, when given, wraps the request in a
         :class:`~repro.protocols.messages.TracedEnvelope`; the server
-        echoes the id on its (enveloped) reply, which is unwrapped here
-        and exposed as :attr:`last_trace_id` — including on error
-        frames, *before* the mapped exception is raised, so a failed
-        request stays attributable to its trace.
-
-        Raises the mapped exception for a typed error frame, and
-        :class:`~repro.exceptions.ProtocolError` for a malformed reply
-        or a connection dropped mid-exchange.
+        echoes the id on its (enveloped) reply.
         """
         if budget_ms is not None:
             message = DeadlineEnvelope.wrap(message, budget_ms)
-            if deadline_s is None:
-                deadline_s = budget_ms / 1000.0 + max(
-                    0.25, budget_ms / 1000.0)
         if trace_id is not None:
             message = TracedEnvelope.wrap(message, trace_id)
         # Framing refusals (over-cap encodings) happen before any byte
         # hits the wire and leave the connection usable.
         frame = frame_message(message, self.max_frame)
-        with self._lock:
-            if self._sock is None:
-                raise ServiceClosedError("client connection is closed")
-            # Re-arm the per-request deadline on every round trip; the
-            # socket-level timeout is what bounds each read and write.
-            self._sock.settimeout(
-                self.timeout_s if deadline_s is None else deadline_s)
-            try:
-                self._sock.sendall(frame)
+        self._slots.acquire()
+        future: Future = Future()
+        try:
+            # Append and send under one lock: the reply stream matches
+            # futures by arrival order, so pending order must equal the
+            # order frames hit the wire.
+            with self._send_lock:
+                if self._fatal is not None:
+                    raise self._spent_error()
+                with self._pending_lock:
+                    self._pending.append(future)
+                try:
+                    self._sock.sendall(frame)
+                except Exception as exc:
+                    mapped = _map_transport_error(exc)
+                    self._poison(mapped)
+                    raise mapped from exc
                 self.to_server.record(len(frame), 0.0)
-                payload = recv_frame(self._sock, self.max_frame)
-            except Exception as exc:
-                # A failed round trip (timeout, reset, malformed frame)
-                # desynchronises the strict request/reply stream: poison
-                # the connection so a retried request can never read the
-                # abandoned exchange's stale reply as its own.
-                self._sock.close()
-                self._sock = None
-                raise _map_transport_error(exc) from exc
-            if payload is None:
-                # EOF mid-conversation: the connection is spent.
-                self._sock.close()
-                self._sock = None
-                raise ConnectionLostError(
-                    "server closed the connection without replying")
-        self.to_device.record(len(payload) + PREFIX_BYTES, 0.0)
-        reply = Message.decode(payload)
+        except BaseException:
+            self._slots.release()
+            raise
+        future.add_done_callback(lambda _f: self._slots.release())
+        return future
+
+    def request(self, message: Message,
+                trace_id: bytes | None = None,
+                deadline_s: float | None = None,
+                budget_ms: int | None = None) -> Message:
+        """One round trip: submit ``message``, return the decoded reply.
+
+        Waits ``deadline_s`` for this request only (health probes want
+        a short fuse while protocol requests keep the long one), else
+        the connection's ``timeout_s``.  An expired wait poisons the
+        connection: with in-order matching, an abandoned exchange would
+        desynchronise every later reply.  ``budget_ms`` (see
+        :meth:`submit`) therefore never shortens the wait — the
+        server's typed ``expired`` reply keeps its place in the stream,
+        fails only this request (raised here as
+        :class:`~repro.exceptions.DeadlineExceededError`), and may
+        legally queue behind the replies of earlier requests.
+
+        A traced reply is unwrapped and its id exposed as
+        :attr:`last_trace_id` — including on error frames, *before* the
+        mapped exception is raised, so a failed request stays
+        attributable to its trace.  Raises the mapped exception for a
+        typed error frame, and :class:`~repro.exceptions.ProtocolError`
+        for a malformed reply or a connection dropped mid-exchange.
+        """
+        future = self.submit(message, trace_id=trace_id,
+                             budget_ms=budget_ms)
+        timeout = self.timeout_s if deadline_s is None else deadline_s
+        try:
+            reply = future.result(timeout)
+        except TimeoutError as exc:
+            if not future.done():
+                mapped = RequestTimeoutError(
+                    f"request deadline exceeded after {timeout}s "
+                    f"({len(self._pending)} requests in flight)")
+                self._poison(mapped)
+                raise mapped from exc
+            # A stored (already mapped) timeout, or a reply that landed
+            # just as the wait expired: either way the future decides.
+            reply = future.result()
         if isinstance(reply, TracedEnvelope):
             self.last_trace_id = reply.trace_id
             reply = reply.inner()
@@ -286,218 +394,17 @@ class NetworkClient:
             raise ProtocolError(f"malformed health payload: {exc}") from exc
 
     def close(self) -> None:
-        """Close the connection.  Idempotent."""
-        with self._lock:
-            if self._sock is not None:
-                try:
-                    self._sock.close()
-                finally:
-                    self._sock = None
+        """Close the connection and fail any outstanding futures.
+        Idempotent."""
+        self._closing = True
+        self._poison(ServiceClosedError("client connection is closed"))
+        self._reader.join(timeout=5.0)
 
     def __enter__(self) -> "NetworkClient":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class PipelinedNetworkClient(NetworkClient):
-    """A multi-in-flight :class:`NetworkClient` over one connection.
-
-    The serial client holds its lock across a full round trip, so one
-    connection carries exactly one outstanding request.  This variant
-    decouples the two halves: :meth:`submit` sends a frame and returns a
-    future, a dedicated reader thread decodes replies as they arrive, and
-    — because the server guarantees replies in request order (windowed
-    in-order pipelining; the framing carries no request ids) — each reply
-    resolves the oldest outstanding future.  Up to ``window`` requests
-    ride the connection concurrently; the next :meth:`submit` blocks
-    until a slot frees, which keeps client-side memory bounded and stays
-    inside the server's own read-ahead window.
-
-    :meth:`request` keeps the blocking signature, so ``N`` threads
-    sharing one pipelined client (e.g. via :class:`RemoteEndpoint`
-    wrappers) drive ``min(N, window)`` requests in flight on a single
-    connection — the shape ``net-bench --pipeline`` measures.
-
-    Failure semantics match the serial client, connection-wide: any
-    transport failure (timeout, reset, torn or malformed frame)
-    desynchronises the reply stream, so it poisons the connection and
-    fails *every* outstanding future with the mapped exception; later
-    submissions raise immediately.  Typed ``ErrorReply`` frames stay
-    per-request: they resolve only their own future (raised from
-    :meth:`request` as the mapped exception) and leave the stream
-    healthy.  ``last_trace_id`` is shared state and meaningless under
-    concurrent use — traced single-stepping belongs on the serial
-    client.
-    """
-
-    def __init__(self, host: str, port: int, timeout_s: float = 30.0,
-                 max_frame: int = DEFAULT_MAX_FRAME,
-                 window: int = 32) -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        super().__init__(host, port, timeout_s=timeout_s,
-                         max_frame=max_frame)
-        self.window = window
-        # The reader blocks in recv with no socket deadline: between
-        # requests there is legitimately nothing to read, and a reply
-        # may legally queue behind window-1 others.  Per-request
-        # deadlines are enforced on the futures instead, and a wedged
-        # server is unblocked by close()'s shutdown.
-        self._rsock = self._sock
-        self._rsock.settimeout(None)
-        self._slots = threading.BoundedSemaphore(window)
-        self._send_lock = threading.Lock()
-        self._pending_lock = threading.Lock()
-        self._pending: deque[Future] = deque()
-        self._fatal: Exception | None = None
-        self._closing = False
-        self._reader = threading.Thread(
-            target=self._read_loop, name="net-pipeline-reader", daemon=True)
-        self._reader.start()
-
-    # -- reader side --------------------------------------------------------
-
-    def _read_loop(self) -> None:
-        """Decode replies as they arrive; FIFO-match them to futures."""
-        try:
-            while True:
-                payload = recv_frame(self._rsock, self.max_frame)
-                if payload is None:
-                    raise ConnectionLostError(
-                        "server closed the connection")
-                self.to_device.record(len(payload) + PREFIX_BYTES, 0.0)
-                reply = Message.decode(payload)
-                with self._pending_lock:
-                    future = (self._pending.popleft()
-                              if self._pending else None)
-                if future is None:
-                    raise ProtocolError(
-                        "server sent a reply with no request outstanding")
-                future.set_result(reply)
-        except Exception as exc:  # noqa: BLE001 — any failure poisons
-            if self._closing:
-                self._poison(ServiceClosedError(
-                    "client connection is closed"))
-            else:
-                self._poison(_map_transport_error(exc))
-
-    def _poison(self, exc: Exception) -> None:
-        """Mark the connection spent and fail every outstanding future."""
-        with self._pending_lock:
-            if self._fatal is None:
-                self._fatal = exc
-            orphans, self._pending = list(self._pending), deque()
-        for future in orphans:
-            if not future.done():
-                future.set_exception(exc)
-        try:
-            self._rsock.close()
-        except OSError:
-            pass
-
-    def _spent_error(self) -> Exception:
-        fatal = self._fatal
-        if self._closing or isinstance(fatal, ServiceClosedError):
-            return ServiceClosedError("client connection is closed")
-        return ConnectionLostError(f"connection is spent: {fatal}")
-
-    # -- sender side --------------------------------------------------------
-
-    def submit(self, message: Message,
-               trace_id: bytes | None = None,
-               budget_ms: int | None = None) -> Future:
-        """Send ``message`` and return a future for its decoded reply.
-
-        Blocks while ``window`` requests are already outstanding.  The
-        future resolves to the raw reply message (envelopes and error
-        frames included); :meth:`request` is the resolve-and-map wrapper.
-        ``budget_ms`` propagates a deadline exactly as on the serial
-        client; a server-side shed resolves only this request's future
-        (a typed error frame), leaving the pipeline healthy.
-        """
-        if budget_ms is not None:
-            message = DeadlineEnvelope.wrap(message, budget_ms)
-        if trace_id is not None:
-            message = TracedEnvelope.wrap(message, trace_id)
-        frame = frame_message(message, self.max_frame)
-        self._slots.acquire()
-        future: Future = Future()
-        try:
-            # Append and send under one lock: the reply stream matches
-            # futures by arrival order, so pending order must equal the
-            # order frames hit the wire.
-            with self._send_lock:
-                if self._fatal is not None:
-                    raise self._spent_error()
-                with self._pending_lock:
-                    self._pending.append(future)
-                try:
-                    self._sock.sendall(frame)
-                except Exception as exc:
-                    mapped = _map_transport_error(exc)
-                    self._poison(mapped)
-                    raise mapped from exc
-                self.to_server.record(len(frame), 0.0)
-        except BaseException:
-            self._slots.release()
-            raise
-        future.add_done_callback(lambda _f: self._slots.release())
-        return future
-
-    def request(self, message: Message,
-                trace_id: bytes | None = None,
-                deadline_s: float | None = None,
-                budget_ms: int | None = None) -> Message:
-        """Pipelined round trip: submit, then block on this reply only.
-
-        Same contract as the serial :meth:`NetworkClient.request`; other
-        requests keep flowing while this one waits.  A *client-side*
-        wait expiry poisons the whole connection — with in-order
-        matching an abandoned exchange would desynchronise every later
-        reply — which is exactly why ``budget_ms`` is the better
-        deadline here: the server's typed ``expired`` reply keeps its
-        place in the stream and fails only this request.
-        """
-        future = self.submit(message, trace_id=trace_id,
-                             budget_ms=budget_ms)
-        # Deliberately no budget-derived wait tightening here (unlike
-        # the serial client): the reply may legally queue behind
-        # window-1 others, and the server's typed expired verdict is
-        # coming — aborting the shared stream early would turn one
-        # request's deadline into every in-flight request's failure.
-        timeout = self.timeout_s if deadline_s is None else deadline_s
-        try:
-            reply = future.result(timeout)
-        except TimeoutError as exc:
-            if future.done():
-                raise  # the stored (already mapped) failure, not the wait
-            mapped = RequestTimeoutError(
-                f"request deadline exceeded after {timeout}s "
-                f"({len(self._pending)} pipelined requests in flight)")
-            self._poison(mapped)
-            raise mapped from exc
-        if isinstance(reply, TracedEnvelope):
-            self.last_trace_id = reply.trace_id
-            reply = reply.inner()
-        else:
-            self.last_trace_id = None
-        if isinstance(reply, ErrorReply):
-            _raise_error_reply(reply)
-        return reply
-
-    def close(self) -> None:
-        """Close the connection and fail any outstanding futures."""
-        self._closing = True
-        try:
-            # recv_into does not observe a bare close of its own fd;
-            # shutdown is what wakes the blocked reader thread.
-            self._rsock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        super().close()
-        self._reader.join(timeout=5.0)
 
 
 class RemoteEndpoint:
@@ -539,24 +446,20 @@ class RemoteEndpoint:
         default: envelopes add wire bytes, so untraced byte accounting
         stays identical to the pre-tracing protocol.
 
-        ``pipeline=N`` (for ``N > 1``) opens the connection through a
-        :class:`PipelinedNetworkClient` with an ``N``-request window, so
-        several endpoints sharing the one client (or threads sharing
-        this endpoint's client) keep the connection saturated.  ``0``
-        or ``1`` means the classic serial client.
+        ``pipeline=N`` opens the connection with an ``N``-request
+        window (:class:`NetworkClient` ``window``), so several endpoints
+        sharing the one client (or threads sharing this endpoint's
+        client) keep the connection saturated.  ``0`` or ``1`` means
+        one request at a time.
 
         ``deadline_ms`` attaches a per-leg deadline budget to every
         request this endpoint sends (each protocol leg gets the full
         budget — the paper's exchanges are at most three legs, so the
         run-level bound is a small multiple).
         """
-        if pipeline > 1:
-            client: NetworkClient = PipelinedNetworkClient(
-                host, port, timeout_s=timeout_s, max_frame=max_frame,
-                window=pipeline)
-        else:
-            client = NetworkClient(host, port, timeout_s=timeout_s,
-                                   max_frame=max_frame)
+        client = NetworkClient(host, port, timeout_s=timeout_s,
+                               max_frame=max_frame,
+                               window=max(1, pipeline))
         return cls(client, owns_client=True, trace=trace,
                    deadline_ms=deadline_ms)
 

@@ -16,7 +16,7 @@ from repro.protocols.adversary import (
     ReplayAttacker,
     tamper_stored_helper,
 )
-from repro.protocols.database import HelperDataStore, UserRecord
+from repro.protocols.database import UserRecord
 from repro.protocols.device import BiometricDevice, signed_payload
 from repro.protocols.messages import (
     BaselineChallengeBatch,
@@ -57,7 +57,6 @@ __all__ = [
     "HelperDataTamperer",
     "ReplayAttacker",
     "tamper_stored_helper",
-    "HelperDataStore",
     "UserRecord",
     "BiometricDevice",
     "signed_payload",

@@ -18,15 +18,18 @@ disabled — otherwise a passing test would prove nothing).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.extractor import HelperData
-from repro.protocols.database import HelperDataStore
 from repro.protocols.messages import (
     IdentificationChallenge,
     Message,
 )
+
+if TYPE_CHECKING:
+    from repro.engine.engine import IdentificationEngine
 
 
 @dataclass
@@ -118,7 +121,7 @@ class ReplayAttacker:
         return self.captured
 
 
-def tamper_stored_helper(store: HelperDataStore, user_id: str,
+def tamper_stored_helper(store: IdentificationEngine, user_id: str,
                          coordinate: int = 0, delta: int = 1) -> None:
     """Insider attack: corrupt helper data at rest in the server database.
 

@@ -1,35 +1,20 @@
-"""The authentication server's helper-data store.
+"""The enrollment record the authentication server stores.
 
-Stores exactly what the paper's enrollment protocol hands the server — the
-triple ``(ID, pk, P)`` — and maintains the sketch search structure used by
-the proposed identification protocol.  The private key never reaches this
-module by construction.
-
-Persistence: :meth:`HelperDataStore.save` / :meth:`HelperDataStore.load`
-round-trip the store through a JSON-lines file (one record per line,
-helper data base64-encoded, parameters in a header line) so a server can
-restart without re-enrolling its users.  Everything persisted is public
-helper data — the file needs integrity protection in deployment (an
-insider rewriting it is exactly the Section VI adversary; the robust
-sketch makes such rewrites fail closed, as the adversary tests show), but
-no confidentiality.
+Exactly what the paper's enrollment protocol hands the server — the
+triple ``(ID, pk, P)``; the private key never reaches this module by
+construction.  The store that holds these records and searches their
+sketches is :class:`~repro.engine.engine.IdentificationEngine`.
+Everything in a record is public helper data: the store needs
+integrity protection in deployment (an insider rewriting it is exactly
+the Section VI adversary; the robust sketch makes such rewrites fail
+closed, as the adversary tests show), but no confidentiality.
 """
 
 from __future__ import annotations
 
-import base64
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterator
-
-import numpy as np
 
 from repro.core.extractor import HelperData
-from repro.core.index import VectorizedScanIndex
-from repro.core.params import SystemParams
-from repro.exceptions import EnrollmentError, ParameterError
-from repro.ioutil import atomic_replace
 
 
 @dataclass(frozen=True)
@@ -43,185 +28,3 @@ class UserRecord:
     def helper(self) -> HelperData:
         """Parse the stored helper-data blob."""
         return HelperData.from_bytes(self.helper_data)
-
-
-class HelperDataStore:
-    """Record store plus sketch index.
-
-    The index holds the *enrolled* robust-sketch movement vectors; a
-    search with a fresh probe sketch returns candidate records satisfying
-    the paper's conditions (1)-(4).
-    """
-
-    def __init__(self, params: SystemParams,
-                 index_factory=VectorizedScanIndex) -> None:
-        self.params = params
-        self._records: list[UserRecord] = []
-        self._by_id: dict[str, int] = {}
-        self._index = index_factory(params)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[UserRecord]:
-        return iter(self._records)
-
-    def add(self, record: UserRecord) -> None:
-        """Insert a record; refuses duplicate identities."""
-        if record.user_id in self._by_id:
-            raise EnrollmentError(f"user {record.user_id!r} already enrolled")
-        helper = record.helper()
-        row = self._index.add(helper.movements)
-        assert row == len(self._records), "index/record row drift"
-        # Record first, then the id-map entry: a concurrent get() (the
-        # service layer's verify pool) must never see a row id whose
-        # backing record has not landed yet.
-        self._records.append(record)
-        self._by_id[record.user_id] = row
-
-    def add_many(self, records: list[UserRecord]) -> None:
-        """Bulk-insert records with one index write.
-
-        Parses every helper blob and validates duplicate identities
-        (against the store and within the batch) *before* touching the
-        index, so a rejected batch leaves the store unchanged.  Used by
-        :meth:`load` so a server restart costs one matrix write instead
-        of a Python call per user.
-        """
-        movements = []
-        seen: set[str] = set()
-        for record in records:
-            if record.user_id in self._by_id or record.user_id in seen:
-                raise EnrollmentError(
-                    f"user {record.user_id!r} already enrolled"
-                )
-            seen.add(record.user_id)
-            movements.append(record.helper().movements)
-        if not records:
-            return
-        bulk = getattr(self._index, "add_many", None)
-        if bulk is not None:
-            rows = bulk(np.stack(movements))
-        else:  # exotic index without bulk support: per-row fallback
-            rows = [self._index.add(m) for m in movements]
-        assert rows[0] == len(self._records), "index/record row drift"
-        # Records before id-map entries (see add()).
-        self._records.extend(records)
-        for row, record in zip(rows, records):
-            self._by_id[record.user_id] = row
-
-    def get(self, user_id: str) -> UserRecord | None:
-        """The record enrolled under ``user_id``, or ``None``."""
-        row = self._by_id.get(user_id)
-        return self._records[row] if row is not None else None
-
-    def find_by_sketch(self, probe: np.ndarray) -> list[UserRecord]:
-        """Records whose enrolled sketch matches the probe (conditions 1-4)."""
-        return [self._records[row] for row in self._index.search(probe)]
-
-    def find_by_sketch_batch(self,
-                             probes: np.ndarray) -> list[list[UserRecord]]:
-        """Per-probe candidate records for a ``(B, n)`` probe matrix.
-
-        Uses the index's vectorised ``search_batch`` when it has one
-        (the scan and sharded indexes do), falling back to per-probe
-        searches otherwise; the results are identical either way.
-        """
-        batch = getattr(self._index, "search_batch", None)
-        if batch is not None:
-            row_sets = batch(probes)
-        else:
-            row_sets = [self._index.search(probe) for probe in probes]
-        return [[self._records[row] for row in rows] for rows in row_sets]
-
-    def all_records(self) -> list[UserRecord]:
-        """Snapshot of every record (baseline protocol ships all of them)."""
-        return list(self._records)
-
-    # -- persistence ---------------------------------------------------------------
-
-    _FORMAT_VERSION = 1
-
-    def save(self, path: str | Path) -> None:
-        """Write the store to a JSON-lines file (header + one record/line).
-
-        The write is atomic: content goes to a temp file in the same
-        directory and is ``os.replace``-d over the target, so a crash
-        mid-save leaves the previous store intact rather than a
-        truncated file.
-        """
-        with atomic_replace(path, "w", encoding="utf-8") as handle:
-            header = {
-                "format": self._FORMAT_VERSION,
-                "params": self.params.to_dict(),
-                "records": len(self._records),
-            }
-            handle.write(json.dumps(header, sort_keys=True) + "\n")
-            for record in self._records:
-                line = {
-                    "user_id": record.user_id,
-                    "verify_key": base64.b64encode(
-                        record.verify_key).decode("ascii"),
-                    "helper_data": base64.b64encode(
-                        record.helper_data).decode("ascii"),
-                }
-                handle.write(json.dumps(line, sort_keys=True) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path,
-             index_factory=VectorizedScanIndex) -> "HelperDataStore":
-        """Rebuild a store (records + sketch index) from :meth:`save` output."""
-        path = Path(path)
-        with path.open("r", encoding="utf-8") as handle:
-            header_line = handle.readline()
-            try:
-                header = json.loads(header_line)
-            except json.JSONDecodeError as exc:
-                raise ParameterError(
-                    f"malformed store header: {exc}") from exc
-            if header.get("format") != cls._FORMAT_VERSION:
-                raise ParameterError(
-                    f"unsupported store format {header.get('format')!r}"
-                )
-            params = SystemParams.from_dict(header["params"])
-            store = cls(params, index_factory=index_factory)
-            records = []
-            for line_number, line in enumerate(handle, start=2):
-                if not line.strip():
-                    continue
-                try:
-                    payload = json.loads(line)
-                    records.append(UserRecord(
-                        user_id=payload["user_id"],
-                        verify_key=base64.b64decode(payload["verify_key"]),
-                        helper_data=base64.b64decode(payload["helper_data"]),
-                    ))
-                except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                    raise ParameterError(
-                        f"malformed record at line {line_number}: {exc}"
-                    ) from exc
-            store.add_many(records)
-            if len(store) != header.get("records"):
-                raise ParameterError(
-                    f"record count mismatch: header says "
-                    f"{header.get('records')}, file has {len(store)}"
-                )
-        return store
-
-    # -- attack-surface helpers (used by adversary simulations) -------------------
-
-    def replace_helper(self, user_id: str, helper_data: bytes) -> None:
-        """Overwrite a stored helper blob — models the paper's insider
-        adversary who "is able to access public helper data stored on the
-        authentication server".  Intentionally does *not* refresh the
-        sketch index: a stealthy insider rewrites bytes at rest, not the
-        server's in-memory structures."""
-        row = self._by_id.get(user_id)
-        if row is None:
-            raise EnrollmentError(f"user {user_id!r} not enrolled")
-        old = self._records[row]
-        self._records[row] = UserRecord(
-            user_id=old.user_id,
-            verify_key=old.verify_key,
-            helper_data=helper_data,
-        )

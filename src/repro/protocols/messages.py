@@ -678,8 +678,7 @@ class RotateAck(Message):
     """``AS -> BioD``: outcome of a rotate/re-enroll.
 
     ``version`` is the new active version index packed as 4 bytes
-    big-endian when ``accepted``, empty otherwise (unknown identity, or
-    a store opened without lifecycle support).
+    big-endian when ``accepted``, empty otherwise (an unknown identity).
     """
 
     TYPE_TAG: ClassVar[int] = 24

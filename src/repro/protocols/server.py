@@ -33,7 +33,7 @@ import itertools
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from repro.core.params import SystemParams
 from repro.crypto.prng import HmacDrbg
 from repro.crypto.signatures import SignatureScheme, VerifyTableCache
 from repro.exceptions import EnrollmentError, ParameterError, ProtocolError
-from repro.protocols.database import HelperDataStore, UserRecord
+from repro.protocols.database import UserRecord
 from repro.protocols.device import signed_payload
 from repro.protocols.messages import (
     BaselineChallengeBatch,
@@ -67,6 +67,9 @@ from repro.protocols.messages import (
     VerificationResponse,
 )
 from repro.protocols.sessions import EvictedSession, PendingSession, SessionStore
+
+if TYPE_CHECKING:
+    from repro.engine.engine import EngineStats, IdentificationEngine
 
 _CHALLENGE_BYTES = 16
 
@@ -100,20 +103,17 @@ class AuthenticationServer:
     declined challenge moves to the next candidate, so a false-close
     record enrolled ahead of the genuine user cannot deny them service.
 
-    ``store`` may be any object with the :class:`HelperDataStore`
-    surface; in particular
-    :class:`~repro.engine.engine.IdentificationEngine` drops in for
-    scale-out deployments (see :meth:`with_engine`).
+    ``store`` is the :class:`~repro.engine.engine.IdentificationEngine`
+    holding the enrollment records; the default is an in-memory,
+    single-shard, unjournaled engine (see :meth:`with_engine` for a
+    sharded one).
 
-    Every signature verification runs through a
-    :class:`~repro.crypto.signatures.VerifyTableCache`: the per-user
-    verify-key tables are built lazily once a key recurs and reused warm,
-    bounded to ``key_table_capacity`` entries (LRU).  When the store
-    itself carries a ``key_tables`` cache (the identification engine
-    does), that cache is adopted so the tables live alongside the
-    helper-data records and survive server re-instantiation over the same
-    engine; passing an explicit ``key_table_capacity`` alongside such a
-    store is rejected (size the cache on the store instead).
+    Every signature verification runs through the store's
+    :class:`~repro.crypto.signatures.VerifyTableCache`
+    (``store.key_tables``): the per-user verify-key tables are built
+    lazily once a key recurs, live alongside the helper-data records,
+    and survive server re-instantiation over the same engine.  Size the
+    cache with the engine's ``key_table_capacity``.
 
     ``session_ttl_s`` / ``max_sessions`` bound the outstanding-challenge
     state (see the module docstring); pass a pre-built ``sessions`` store
@@ -122,11 +122,10 @@ class AuthenticationServer:
     """
 
     def __init__(self, params: SystemParams, scheme: SignatureScheme,
-                 store: HelperDataStore | None = None,
+                 store: IdentificationEngine | None = None,
                  seed: bytes | None = None,
                  max_candidates: int = 4,
                  audit_capacity: int = 10_000,
-                 key_table_capacity: int | None = None,
                  session_ttl_s: float | None = 300.0,
                  max_sessions: int = 10_000,
                  sessions: SessionStore | None = None) -> None:
@@ -134,20 +133,15 @@ class AuthenticationServer:
             raise ValueError("max_candidates must be >= 1")
         self.params = params
         self.scheme = scheme
-        self.store = store if store is not None else HelperDataStore(params)
+        if store is None:
+            # Lazy import: the engine layer imports this package's
+            # record type, so a module-level import would be a cycle.
+            from repro.engine.engine import IdentificationEngine
+
+            store = IdentificationEngine(params, shards=1)
+        self.store = store
         self.max_candidates = max_candidates
-        store_cache = getattr(self.store, "key_tables", None)
-        if store_cache is not None:
-            if key_table_capacity is not None:
-                raise ValueError(
-                    "the store provides its own key_tables cache; pass "
-                    "key_table_capacity to the store, not the server"
-                )
-            self.key_tables: VerifyTableCache = store_cache
-        else:
-            self.key_tables = VerifyTableCache(
-                1024 if key_table_capacity is None else key_table_capacity
-            )
+        self.key_tables: VerifyTableCache = store.key_tables
         if seed is None:
             seed = np.random.default_rng().bytes(32)
         self._drbg = HmacDrbg(seed, personalization=b"auth-server")
@@ -175,20 +169,17 @@ class AuthenticationServer:
         :class:`~repro.engine.engine.IdentificationEngine`.
 
         Extra keyword arguments pass through to the constructor.  The
-        engine import is deliberately lazy — the protocol layer stays
-        importable without the engine layer, keeping the package graph
-        acyclic.
+        engine import is lazy, as in the constructor, to keep the
+        package graph acyclic.
         """
         from repro.engine.engine import IdentificationEngine
 
         store = IdentificationEngine(params, shards=shards, workers=workers)
         return cls(params, scheme, store=store, **kwargs)
 
-    def engine_stats(self):
-        """The store's :class:`~repro.engine.engine.EngineStats` snapshot,
-        or ``None`` when the store is not an identification engine."""
-        stats = getattr(self.store, "stats", None)
-        return stats() if stats is not None else None
+    def engine_stats(self) -> EngineStats:
+        """The store's :class:`~repro.engine.engine.EngineStats` snapshot."""
+        return self.store.stats()
 
     # -- sessions -----------------------------------------------------------------
 
@@ -281,15 +272,10 @@ class AuthenticationServer:
         *current active* record is acknowledged with the active version
         and never double-applied, so the failover retry path can resend
         a rotate whose ack was lost to a torn connection.  An unknown
-        identity is refused (enroll first); a store without lifecycle
-        support (a bare :class:`HelperDataStore`) is a protocol error.
+        identity is refused (enroll first).
         """
-        op = "rotate" if request.supersede else "reenroll"
-        apply_op = getattr(self.store, op, None)
-        if apply_op is None or not callable(apply_op):
-            raise ProtocolError(
-                "endpoint's store does not support sketch lifecycle "
-                f"({op})")
+        apply_op = self.store.rotate if request.supersede \
+            else self.store.reenroll
         record = UserRecord(
             user_id=request.user_id,
             verify_key=request.verify_key,
@@ -319,13 +305,8 @@ class AuthenticationServer:
         revoked, all of which are still success (the requested state
         holds).
         """
-        revoke = getattr(self.store, "revoke", None)
-        if revoke is None or not callable(revoke):
-            raise ProtocolError(
-                "endpoint's store does not support sketch lifecycle "
-                "(revoke)")
         version = request.version_number()
-        count = revoke(request.user_id, version)
+        count = self.store.revoke(request.user_id, version)
         target = "all versions" if version is None else f"version {version}"
         self._record_event("revoke-ok" if count else "revoke-noop",
                            request.user_id,
@@ -380,22 +361,16 @@ class AuthenticationServer:
         """Answer ``B`` identification requests with one batched search.
 
         Routes the stacked ``(B, n)`` probe matrix through the store's
-        ``find_by_sketch_batch`` kernel when it has one (both
-        :class:`HelperDataStore` and the identification engine do), so
-        the per-probe scan cost is amortised across the batch; the
+        ``find_by_sketch_batch`` kernel, so the per-probe scan cost is
+        amortised across the batch; the
         per-request challenge/outcome logic is exactly
         :meth:`handle_identification_request`'s.  This is the entry point
         the service frontend's micro-batcher drives.
         """
         if not requests:
             return []
-        batch = getattr(self.store, "find_by_sketch_batch", None)
-        if batch is not None:
-            probes = np.stack([request.sketch for request in requests])
-            per_probe = batch(probes)
-        else:
-            per_probe = [self.store.find_by_sketch(request.sketch)
-                         for request in requests]
+        per_probe = self.store.find_by_sketch_batch(
+            np.stack([request.sketch for request in requests]))
         return [self._respond_to_matches(matches) for matches in per_probe]
 
     def _advance_or_fail(
@@ -582,14 +557,13 @@ class AuthenticationServer:
     ) -> ReplicateRecords:
         """Serve one batch of journal entries to a polling follower.
 
-        Requires the store to carry an enrollment journal (the
-        identification engine with journaling on); a journal-less
-        endpoint — or an offset older than the journal's base, which
+        Requires the store to carry an enrollment journal (journaling
+        on); a journal-less endpoint — or an offset older than the journal's base, which
         this journal simply does not have — is a protocol error: the
         follower must bootstrap from a store copy instead.
         """
         from_seq, max_entries = request.values()
-        journal = getattr(self.store, "journal", None)
+        journal = self.store.journal
         if journal is None:
             raise ProtocolError(
                 "endpoint has no enrollment journal to replicate from")
@@ -604,7 +578,7 @@ class AuthenticationServer:
         # as a plain enroll on the way out so followers replay one
         # format regardless of the primary's journal age.
         from repro.engine.lifecycle import ENTRY_FORMAT_TYPED, OP_ENROLL
-        if getattr(journal, "entry_format", None) != ENTRY_FORMAT_TYPED:
+        if journal.entry_format != ENTRY_FORMAT_TYPED:
             payloads = [bytes([OP_ENROLL]) + p for p in payloads]
         return ReplicateRecords.make(from_seq, journal.head_seq, payloads)
 
@@ -612,15 +586,12 @@ class AuthenticationServer:
 
     def health_snapshot(self) -> dict:
         """Readiness facts this layer owns (merged into health replies):
-        enrolled count, outstanding challenges, and — when the store is
-        a journaled engine — the journal head sequence."""
-        snap: dict = {
+        enrolled count, outstanding challenges, the store's lifecycle
+        operation count (the journal head when journaled) and whether
+        it is journaled."""
+        return {
             "enrolled": len(self.store),
             "outstanding_sessions": self.outstanding_sessions(),
+            "journal_seq": self.store.journal_seq(),
+            "journaled": self.store.journal is not None,
         }
-        seq = getattr(self.store, "journal_seq", None)
-        if seq is not None:
-            snap["journal_seq"] = seq()
-            snap["journaled"] = getattr(self.store, "journal",
-                                        None) is not None
-        return snap

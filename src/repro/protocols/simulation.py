@@ -21,7 +21,7 @@ outcome counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -37,6 +37,9 @@ from repro.protocols.runners import (
 )
 from repro.protocols.server import AuthenticationServer
 from repro.protocols.transport import DuplexLink
+
+if TYPE_CHECKING:
+    from repro.engine.engine import EngineStats, IdentificationEngine
 
 
 @dataclass(frozen=True)
@@ -119,10 +122,10 @@ class SimulationReport:
 class WorkloadSimulator:
     """Seeded identification-traffic generator over the real stack.
 
-    ``store_factory`` lets the simulated server run on an alternative
-    helper-data store — most usefully the scale-out
-    :class:`~repro.engine.engine.IdentificationEngine` (see
-    :meth:`with_engine`), so capacity numbers can be taken against the
+    ``store`` is the simulated server's
+    :class:`~repro.engine.engine.IdentificationEngine` (the server's
+    in-memory single-shard default when omitted; :meth:`with_engine`
+    builds a sharded one), so capacity numbers can be taken against the
     same store a deployment would serve from.
 
     ``server_wrapper`` routes every protocol exchange (enrollment
@@ -139,7 +142,7 @@ class WorkloadSimulator:
     def __init__(self, params: SystemParams, scheme: SignatureScheme,
                  n_users: int, mix: TrafficMix | None = None,
                  seed: int = 0,
-                 store_factory: Callable[[SystemParams], object] | None = None,
+                 store: IdentificationEngine | None = None,
                  server_wrapper: Callable[[AuthenticationServer], object] | None = None,
                  ) -> None:
         if n_users < 1:
@@ -153,7 +156,6 @@ class WorkloadSimulator:
         )
         self.device = BiometricDevice(params, scheme,
                                       seed=seed.to_bytes(8, "big") + b"dev")
-        store = store_factory(params) if store_factory is not None else None
         self.server = AuthenticationServer(params, scheme, store=store,
                                            seed=seed.to_bytes(8, "big") + b"srv")
         self.endpoint = self.server if server_wrapper is None \
@@ -175,17 +177,15 @@ class WorkloadSimulator:
         """
         from repro.engine.engine import IdentificationEngine
 
-        def factory(p: SystemParams) -> IdentificationEngine:
-            return IdentificationEngine(p, shards=shards, workers=workers)
-
+        store = IdentificationEngine(params, shards=shards, workers=workers)
         return cls(params, scheme, n_users=n_users, mix=mix, seed=seed,
-                   store_factory=factory)
+                   store=store)
 
     @classmethod
     def with_frontend(cls, params: SystemParams, scheme: SignatureScheme,
                       n_users: int, mix: TrafficMix | None = None,
                       seed: int = 0,
-                      store_factory: Callable[[SystemParams], object] | None = None,
+                      store: IdentificationEngine | None = None,
                       **frontend_kwargs) -> "WorkloadSimulator":
         """A simulator routed through the concurrent service frontend.
 
@@ -202,7 +202,7 @@ class WorkloadSimulator:
             return ServiceFrontend(server, **frontend_kwargs)
 
         return cls(params, scheme, n_users=n_users, mix=mix, seed=seed,
-                   store_factory=store_factory, server_wrapper=wrapper)
+                   store=store, server_wrapper=wrapper)
 
     def close(self) -> None:
         """Shut down a wrapping endpoint (no-op for the bare server)."""
@@ -211,8 +211,8 @@ class WorkloadSimulator:
             if closer is not None:
                 closer()
 
-    def engine_stats(self):
-        """Engine counter snapshot, or ``None`` for the classic store."""
+    def engine_stats(self) -> EngineStats:
+        """The simulated server's engine counter snapshot."""
         return self.server.engine_stats()
 
     def _draw_class(self) -> str:

@@ -699,7 +699,7 @@ class ServiceFrontend:
         return self.server.audit_log(kind)
 
     def engine_stats(self):
-        """The wrapped server's engine counters (``None`` off-engine)."""
+        """The wrapped server's engine counters."""
         return self.server.engine_stats()
 
     def outstanding_sessions(self) -> int:

@@ -22,6 +22,13 @@ settings.register_profile(
 settings.load_profile("repro")
 
 
+def pytest_configure(config: pytest.Config) -> None:
+    # A worker thread that raises fails its test instead of passing
+    # with a warning nobody reads.
+    config.addinivalue_line(
+        "filterwarnings", "error::pytest.PytestUnhandledThreadExceptionWarning")
+
+
 @pytest.fixture
 def small_params() -> SystemParams:
     """Tiny line (ka=8, v=8, t=1, n=16) — exhaustive-friendly."""

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.extractor import SuccinctFuzzyExtractor
+from repro.core.index import NaiveLoopIndex
 from repro.crypto.prng import HmacDrbg
 from repro.engine import IdentificationEngine
 from repro.exceptions import EnrollmentError
-from repro.protocols.database import HelperDataStore, UserRecord
+from repro.protocols.database import UserRecord
 
 
 @pytest.fixture
@@ -82,20 +83,21 @@ class TestStoreSurface:
 
     def test_agrees_with_helper_data_store(self, enrolled_engine,
                                            paper_params, rng):
-        """Engine candidates == flat-store candidates on the same data."""
+        """Engine candidates == the reference loop's rows on the same data."""
         engine, templates, fe = enrolled_engine
-        store = HelperDataStore(paper_params)
-        for record in engine.all_records():
-            store.add(record)
+        records = engine.all_records()
+        reference = NaiveLoopIndex(paper_params)
+        for record in records:
+            reference.add(record.helper().movements)
         probes = np.stack([
             _probe_for(fe, paper_params, templates[f"user-{i}"], rng,
                        tag=b"p%d" % i)
             for i in range(8)
         ])
-        flat = store.find_by_sketch_batch(probes)
+        flat = [[records[row].user_id for row in reference.search(probe)]
+                for probe in probes]
         batched = engine.find_by_sketch_batch(probes)
-        assert [[r.user_id for r in row] for row in batched] == \
-            [[r.user_id for r in row] for row in flat]
+        assert [[r.user_id for r in row] for row in batched] == flat
 
 
 class TestCounters:
@@ -149,15 +151,7 @@ class TestServerIntegration:
         run = run_identification(device, server, DuplexLink(), stranger)
         assert not run.outcome.identified
 
-        stats = server.engine_stats()
-        assert stats is not None and stats.probes_served == 2
-
-    def test_classic_store_has_no_engine_stats(self, paper_params,
-                                               fast_scheme):
-        from repro.protocols.server import AuthenticationServer
-
-        server = AuthenticationServer(paper_params, fast_scheme, seed=b"s")
-        assert server.engine_stats() is None
+        assert server.engine_stats().probes_served == 2
 
 
 class TestKeyTableCache:
@@ -168,26 +162,13 @@ class TestKeyTableCache:
             paper_params, fast_scheme, shards=2, seed=b"s")
         assert server.key_tables is server.store.key_tables
 
-    def test_classic_store_gets_private_cache(self, paper_params,
-                                              fast_scheme):
-        from repro.protocols.server import AuthenticationServer
-
-        server = AuthenticationServer(paper_params, fast_scheme, seed=b"s",
-                                      key_table_capacity=16)
-        assert server.key_tables is not None
-        assert server.key_tables.capacity == 16
-        assert len(server.key_tables) == 0
-
     def test_explicit_capacity_with_engine_store_rejected(
             self, paper_params, fast_scheme):
         from repro.protocols.server import AuthenticationServer
 
         engine = IdentificationEngine(paper_params, shards=2,
                                       key_table_capacity=8)
-        with pytest.raises(ValueError, match="key_tables"):
-            AuthenticationServer(paper_params, fast_scheme, store=engine,
-                                 seed=b"s", key_table_capacity=16)
-        # Sizing the cache on the store is the supported spelling.
+        # The cache is sized on the store; the server adopts it.
         server = AuthenticationServer(paper_params, fast_scheme,
                                       store=engine, seed=b"s")
         assert server.key_tables.capacity == 8
@@ -260,7 +241,6 @@ class TestSimulationIntegration:
         report = simulator.run(10)
         assert report.n_requests == 10
         stats = simulator.engine_stats()
-        assert stats is not None
         assert stats.enrolled == 3
         assert stats.probes_served == 10
 
@@ -324,20 +304,23 @@ class TestCounterThreadSafety:
 
     def test_cold_open_identity_map_race(self, enrolled_engine, tmp_path,
                                          watchdog):
-        """Two threads racing the lazy id-map build both see every user."""
+        """Threads racing the lazy id-map build all see every user."""
         import threading
 
         engine, _, _ = enrolled_engine
         engine.save(tmp_path / "store")
         opened = IdentificationEngine.open(tmp_path / "store")
         results: list[set] = []
+        errors: list[BaseException] = []
         barrier = threading.Barrier(4)
 
         def worker() -> None:
-            barrier.wait()
-            found = {f"user-{i}" for i in range(8)
-                     if opened.get(f"user-{i}") is not None}
-            results.append(found)
+            try:
+                barrier.wait()
+                results.append({f"user-{i}" for i in range(8)
+                                if opened.get(f"user-{i}") is not None})
+            except BaseException as exc:  # noqa: BLE001 — re-raised below
+                errors.append(exc)
 
         threads = [threading.Thread(target=worker) for _ in range(4)]
         for t in threads:
@@ -345,5 +328,7 @@ class TestCounterThreadSafety:
         for t in threads:
             t.join()
         opened.close()
+        assert not errors, errors[0]
+        assert len(results) == 4
         assert all(found == {f"user-{i}" for i in range(8)}
                    for found in results)

@@ -1,6 +1,7 @@
 """Tests for the mmap shard-store format (save / open / lazy records)."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -99,6 +100,50 @@ class TestRoundTrip:
         store_dir, _, _, _ = saved_engine
         leftovers = list(store_dir.glob("*.tmp"))
         assert leftovers == []
+
+
+class TestConcurrentColdReads:
+    def test_concurrent_gets_return_the_requested_record(
+            self, paper_params, rng, tmp_path, watchdog):
+        """Concurrent gets on a cold-opened store each read their own
+        record: a shared seek+read handle would hand some threads
+        another user's record (or a short read)."""
+        fe = SuccinctFuzzyExtractor(paper_params)
+        x = fe.sketcher.line.uniform_vector(rng)
+        _, helper = fe.generate(x, HmacDrbg(b"shared"))
+        blob = helper.to_bytes()
+        names = [f"user-{i}" for i in range(2_000)]
+        engine = IdentificationEngine(paper_params, shards=2)
+        engine.add_many([UserRecord(user_id=name, verify_key=b"vk",
+                                    helper_data=blob) for name in names])
+        engine.save(tmp_path / "store")
+        opened = IdentificationEngine.open(tmp_path / "store")
+        threads_n, gets = 8, 3_000
+        wrong: list[tuple[str, str | None]] = []
+        errors: list[BaseException] = []
+        barrier = threading.Barrier(threads_n)
+
+        def worker(tid: int) -> None:
+            try:
+                barrier.wait()
+                for i in range(gets):
+                    name = names[(tid * 997 + i * 31) % len(names)]
+                    record = opened.get(name)
+                    got = None if record is None else record.user_id
+                    if got != name:
+                        wrong.append((name, got))
+            except BaseException as exc:  # noqa: BLE001 — re-raised below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(t,))
+                   for t in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        opened.close()
+        assert not errors, errors[0]
+        assert wrong == []
 
 
 class TestAppendAfterOpen:

@@ -3,10 +3,10 @@
 The wire contract under test: a request carrying a
 :class:`~repro.protocols.messages.DeadlineEnvelope` budget that elapses
 while queued is shed *server-side* with ``ErrorReply(code="expired")``,
-which both clients raise as the typed, per-request
-:class:`~repro.exceptions.DeadlineExceededError` — on the serial client
-the connection survives, and on the pipelined client only the expired
-request's future fails while the rest of the stream keeps flowing.
+which the client raises as the typed, per-request
+:class:`~repro.exceptions.DeadlineExceededError` — at window 1 the
+connection survives, and at a wider window only the expired request's
+future fails while the rest of the stream keeps flowing.
 
 The batcher stall that forces each expiry is injected deterministically
 through the fault harness (``frontend.batcher``), never by sleeping and
@@ -24,7 +24,7 @@ from repro.biometrics.synthetic import BoundedUniformNoise, UserPopulation
 from repro.core.params import SystemParams
 from repro.engine.engine import IdentificationEngine
 from repro.exceptions import DeadlineExceededError
-from repro.net.client import NetworkClient, PipelinedNetworkClient
+from repro.net.client import NetworkClient
 from repro.net.framing import send_frame
 from repro.net.server import NetworkServer
 from repro.protocols.device import BiometricDevice
@@ -42,9 +42,9 @@ from repro.service.frontend import ServiceFrontend
 N_USERS = 2
 
 #: The injected batcher stall: long enough that a queued 50 ms budget is
-#: provably elapsed at dequeue, short enough that the serial client's
-#: stretched socket timeout (budget + 250 ms) outlives it — the typed
-#: server verdict must win over a connection-fatal client timeout.
+#: provably elapsed at dequeue.  The client's reply wait is its own
+#: timeout, not the budget, so the typed server verdict must win over a
+#: connection-fatal client timeout.
 STALL_S = 0.2
 BUDGET_MS = 50
 
@@ -149,7 +149,7 @@ class TestPipelinedClientDeadlines:
         requests on the same stream still succeed (no poisoning)."""
         address, user = served
         _stall_batcher_once()
-        with PipelinedNetworkClient(*address, window=8) as client:
+        with NetworkClient(*address, window=8) as client:
             ahead = client.submit(VerificationRequest(user_id=user))
             doomed = client.submit(VerificationRequest(user_id=user),
                                    budget_ms=BUDGET_MS)
@@ -172,7 +172,7 @@ class TestPipelinedClientDeadlines:
         exception without tearing the stream down."""
         address, user = served
         _stall_batcher_once()
-        with PipelinedNetworkClient(*address, window=8) as client:
+        with NetworkClient(*address, window=8) as client:
             stalled = client.submit(VerificationRequest(user_id=user))
             with pytest.raises(DeadlineExceededError):
                 client.request(VerificationRequest(user_id=user),

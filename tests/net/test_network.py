@@ -16,6 +16,7 @@ from repro.biometrics.synthetic import BoundedUniformNoise, UserPopulation
 from repro.core.params import SystemParams
 from repro.engine.engine import IdentificationEngine
 from repro.exceptions import (
+    ConnectionLostError,
     ProtocolError,
     ServiceClosedError,
     ServiceOverloadError,
@@ -470,7 +471,7 @@ class TestAccountingAndLifecycle:
             probe = device.probe_sketch(population.genuine_reading(0))
             with pytest.raises(TimeoutError):
                 client.request(probe)  # gated server never answers in time
-            with pytest.raises(ServiceClosedError):
+            with pytest.raises(ConnectionLostError, match="spent"):
                 client.request(probe)  # poisoned: no stale-reply reads
             release.set()
             client.close()

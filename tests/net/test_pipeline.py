@@ -1,9 +1,9 @@
-"""Tests for the pipelined multi-in-flight client.
+"""Tests for the client's multi-in-flight window.
 
-The contract under test: a ``PipelinedNetworkClient`` produces exactly
-the outcomes of the serial ``NetworkClient`` on an identically seeded
-stack (the server's windowed in-order pipelining is invisible at the
-protocol level), while allowing many requests in flight on one
+The contract under test: a ``NetworkClient`` with a window above 1
+produces exactly the outcomes of a window-1 client on an identically
+seeded stack (the server's windowed in-order pipelining is invisible at
+the protocol level), while allowing many requests in flight on one
 connection; failures poison connection-wide, typed error replies stay
 per-request.
 """
@@ -22,11 +22,7 @@ from repro.exceptions import (
     RequestTimeoutError,
     ServiceOverloadError,
 )
-from repro.net.client import (
-    NetworkClient,
-    PipelinedNetworkClient,
-    RemoteEndpoint,
-)
+from repro.net.client import NetworkClient, RemoteEndpoint
 from repro.net.server import NetworkServer
 from repro.protocols.device import BiometricDevice
 from repro.protocols.runners import run_enrollment, run_identification
@@ -65,7 +61,7 @@ class TestPipelinedParity:
     def test_matches_serial_client_on_seeded_stack(self, net_params,
                                                    fast_scheme, population,
                                                    watchdog):
-        """Same requests through a serial and a pipelined client against
+        """Same requests through window-1 and window-8 clients against
         identically seeded stacks -> identical identification outcomes."""
         _, ref_server, ref_device = _build_stack(
             net_params, fast_scheme, population, b"parity")
@@ -87,7 +83,7 @@ class TestPipelinedParity:
                            owns_endpoint=True) as net:
             host, port = net.address
             with RemoteEndpoint.connect(host, port, pipeline=8) as remote:
-                assert isinstance(remote.client, PipelinedNetworkClient)
+                assert remote.client.window == 8
                 for i in range(N_USERS):
                     run = run_identification(device, remote, DuplexLink(),
                                              population.genuine_reading(i))
@@ -130,7 +126,7 @@ class TestPipelinedParity:
         with NetworkServer(frontend, owns_endpoint=True,
                            handler_threads=drivers + 2) as net:
             host, port = net.address
-            with PipelinedNetworkClient(host, port, window=drivers) as client:
+            with NetworkClient(host, port, window=drivers) as client:
                 threads = [threading.Thread(target=driver, args=(d,))
                            for d in range(drivers)]
                 for t in threads:
@@ -148,7 +144,7 @@ class TestPipelinedParity:
         with NetworkServer(ServiceFrontend(server, workers=2, max_batch=8),
                            owns_endpoint=True) as net:
             host, port = net.address
-            with PipelinedNetworkClient(host, port, window=8) as client:
+            with NetworkClient(host, port, window=8) as client:
                 futures = [client.submit(device.probe_sketch(
                     population.genuine_reading(i))) for i in range(N_USERS)]
                 replies = [f.result(30.0) for f in futures]
@@ -174,7 +170,7 @@ class TestPipelinedFailures:
         probe = device.probe_sketch(np.zeros(net_params.n, dtype=np.int64))
         with NetworkServer(_Overloaded()) as net:
             host, port = net.address
-            with PipelinedNetworkClient(*net.address, window=4) as client:
+            with NetworkClient(*net.address, window=4) as client:
                 with pytest.raises(ServiceOverloadError, match="queue full"):
                     client.request(probe)
                 # Stream stayed healthy: the next request round-trips.
@@ -200,8 +196,7 @@ class TestPipelinedFailures:
 
         with NetworkServer(_Gated(), handler_threads=4) as net:
             host, port = net.address
-            client = PipelinedNetworkClient(host, port, timeout_s=0.5,
-                                            window=4)
+            client = NetworkClient(host, port, timeout_s=0.5, window=4)
             try:
                 probe = device.probe_sketch(population.genuine_reading(0))
                 stuck = client.submit(probe)
@@ -230,7 +225,7 @@ class TestPipelinedFailures:
         net = NetworkServer(ServiceFrontend(server, workers=1),
                             owns_endpoint=True)
         host, port = net.start()
-        client = PipelinedNetworkClient(host, port, window=4)
+        client = NetworkClient(host, port, window=4)
         try:
             probe = device.probe_sketch(population.genuine_reading(0))
             assert client.request(probe) is not None  # connection is live
@@ -267,7 +262,7 @@ class TestPipelinedFailures:
 
         with NetworkServer(_Gated(), handler_threads=2) as net:
             host, port = net.address
-            client = PipelinedNetworkClient(host, port, window=4)
+            client = NetworkClient(host, port, window=4)
             probe = device.probe_sketch(population.genuine_reading(0))
             stuck = client.submit(probe)
             assert entered.wait(30.0)
@@ -279,27 +274,27 @@ class TestPipelinedFailures:
 
     def test_window_validation(self, watchdog):
         with pytest.raises(ValueError, match="window"):
-            PipelinedNetworkClient("127.0.0.1", 1, window=0)
+            NetworkClient("127.0.0.1", 1, window=0)
 
 
 class TestWindowOne:
     def test_window_one_equals_serial(self, net_params, fast_scheme,
                                       population, watchdog):
-        """window=1 degenerates to one-at-a-time — the serial contract."""
+        """window=1 is one-at-a-time, and agrees with a wider window."""
         _, server, device = _build_stack(
             net_params, fast_scheme, population, b"w1")
         with NetworkServer(ServiceFrontend(server, workers=2),
                            owns_endpoint=True) as net:
             host, port = net.address
-            with PipelinedNetworkClient(host, port, window=1) as pipelined:
+            with NetworkClient(host, port, window=1) as serial:
                 run = run_identification(
-                    device, RemoteEndpoint(pipelined), DuplexLink(),
+                    device, RemoteEndpoint(serial), DuplexLink(),
                     population.genuine_reading(1))
                 assert run.outcome.identified
                 assert run.outcome.user_id == population.user_ids()[1]
-            # And the serial client agrees on the same server.
-            with NetworkClient(host, port) as serial:
+            # And a wider window agrees on the same server.
+            with NetworkClient(host, port, window=4) as pipelined:
                 run = run_identification(
-                    device, RemoteEndpoint(serial), DuplexLink(),
+                    device, RemoteEndpoint(pipelined), DuplexLink(),
                     population.genuine_reading(2))
                 assert run.outcome.identified

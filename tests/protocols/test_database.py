@@ -1,13 +1,13 @@
-"""Tests for the helper-data store."""
+"""Tests for the helper-data store: the identification engine's record
+surface and the stored ``UserRecord``."""
 
-import numpy as np
 import pytest
 
 from repro.core.extractor import SuccinctFuzzyExtractor
-from repro.core.index import PrefixBucketIndex
 from repro.crypto.prng import HmacDrbg
+from repro.engine import IdentificationEngine
 from repro.exceptions import EnrollmentError
-from repro.protocols.database import HelperDataStore, UserRecord
+from repro.protocols.database import UserRecord
 
 
 def _record(fe, rng, user_id, drbg_seed=b"r"):
@@ -23,7 +23,7 @@ class TestStore:
         return SuccinctFuzzyExtractor(paper_params)
 
     def test_add_and_get(self, fe, paper_params, rng):
-        store = HelperDataStore(paper_params)
+        store = IdentificationEngine(paper_params, shards=1)
         _, record = _record(fe, rng, "alice")
         store.add(record)
         assert store.get("alice") == record
@@ -31,14 +31,14 @@ class TestStore:
         assert len(store) == 1
 
     def test_duplicate_rejected(self, fe, paper_params, rng):
-        store = HelperDataStore(paper_params)
+        store = IdentificationEngine(paper_params, shards=1)
         _, record = _record(fe, rng, "alice")
         store.add(record)
         with pytest.raises(EnrollmentError, match="already enrolled"):
             store.add(record)
 
     def test_find_by_sketch(self, fe, paper_params, rng):
-        store = HelperDataStore(paper_params)
+        store = IdentificationEngine(paper_params, shards=1)
         templates = {}
         for name in ("alice", "bob", "carol"):
             x, record = _record(fe, rng, name)
@@ -53,7 +53,7 @@ class TestStore:
         assert [r.user_id for r in found] == ["bob"]
 
     def test_find_unknown_returns_empty(self, fe, paper_params, rng):
-        store = HelperDataStore(paper_params)
+        store = IdentificationEngine(paper_params, shards=1)
         x, record = _record(fe, rng, "alice")
         store.add(record)
         probe = fe.sketcher.sketch(
@@ -61,32 +61,22 @@ class TestStore:
         )
         assert store.find_by_sketch(probe) == []
 
-    def test_custom_index_factory(self, fe, paper_params, rng):
-        store = HelperDataStore(
-            paper_params,
-            index_factory=lambda p: PrefixBucketIndex(p, depth=4),
-        )
-        x, record = _record(fe, rng, "alice")
-        store.add(record)
-        probe = fe.sketcher.sketch(x, HmacDrbg(b"p"))
-        assert [r.user_id for r in store.find_by_sketch(probe)] == ["alice"]
-
     def test_iteration_order_is_enrollment_order(self, fe, paper_params, rng):
-        store = HelperDataStore(paper_params)
+        store = IdentificationEngine(paper_params, shards=1)
         for name in ("u1", "u2", "u3"):
             store.add(_record(fe, rng, name)[1])
         assert [r.user_id for r in store] == ["u1", "u2", "u3"]
         assert [r.user_id for r in store.all_records()] == ["u1", "u2", "u3"]
 
     def test_replace_helper(self, fe, paper_params, rng):
-        store = HelperDataStore(paper_params)
+        store = IdentificationEngine(paper_params, shards=1)
         _, record = _record(fe, rng, "alice")
         store.add(record)
         store.replace_helper("alice", b"\x00" * 8)
         assert store.get("alice").helper_data == b"\x00" * 8
 
     def test_replace_helper_unknown_user(self, fe, paper_params):
-        store = HelperDataStore(paper_params)
+        store = IdentificationEngine(paper_params, shards=1)
         with pytest.raises(EnrollmentError, match="not enrolled"):
             store.replace_helper("ghost", b"")
 

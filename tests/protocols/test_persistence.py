@@ -1,14 +1,17 @@
-"""Tests for store persistence and SystemParams serialisation."""
+"""Tests for store persistence (the engine's save/open) and SystemParams
+serialisation."""
 
-import numpy as np
+import json
+
 import pytest
 
 from repro.core.extractor import SuccinctFuzzyExtractor
-from repro.core.index import VectorizedScanIndex
 from repro.core.params import SystemParams
 from repro.crypto.prng import HmacDrbg
+from repro.engine import IdentificationEngine
+from repro.engine.sharded import ShardedSketchIndex
 from repro.exceptions import ParameterError
-from repro.protocols.database import HelperDataStore, UserRecord
+from repro.protocols.database import UserRecord
 
 
 class TestParamsSerialisation:
@@ -47,7 +50,7 @@ class TestStorePersistence:
     @pytest.fixture
     def populated_store(self, paper_params, rng):
         fe = SuccinctFuzzyExtractor(paper_params)
-        store = HelperDataStore(paper_params)
+        store = IdentificationEngine(paper_params, shards=1)
         templates = {}
         for name in ("alice", "bob", "carol"):
             x = fe.sketcher.line.uniform_vector(rng)
@@ -60,119 +63,116 @@ class TestStorePersistence:
 
     def test_roundtrip_preserves_records(self, populated_store, tmp_path):
         store, _, _ = populated_store
-        path = tmp_path / "store.jsonl"
+        path = tmp_path / "store"
         store.save(path)
-        loaded = HelperDataStore.load(path)
-        assert len(loaded) == len(store)
-        for original, restored in zip(store, loaded):
-            assert original == restored
+        with IdentificationEngine.open(path) as loaded:
+            assert len(loaded) == len(store)
+            for original, restored in zip(store, loaded):
+                assert original == restored
 
     def test_roundtrip_preserves_search(self, populated_store, tmp_path,
                                         paper_params, rng):
         store, templates, fe = populated_store
-        path = tmp_path / "store.jsonl"
+        path = tmp_path / "store"
         store.save(path)
-        loaded = HelperDataStore.load(path)
         noisy = fe.sketcher.line.reduce(
             templates["bob"] + rng.integers(
                 -paper_params.t, paper_params.t + 1, paper_params.n)
         )
         probe = fe.sketcher.sketch(noisy, HmacDrbg(b"probe"))
-        assert [r.user_id for r in loaded.find_by_sketch(probe)] == ["bob"]
+        with IdentificationEngine.open(path) as loaded:
+            assert [r.user_id for r in loaded.find_by_sketch(probe)] == \
+                ["bob"]
 
     def test_roundtrip_preserves_params(self, populated_store, tmp_path):
         store, _, _ = populated_store
-        path = tmp_path / "store.jsonl"
+        path = tmp_path / "store"
         store.save(path)
-        assert HelperDataStore.load(path).params == store.params
+        with IdentificationEngine.open(path) as loaded:
+            assert loaded.params == store.params
 
     def test_empty_store_roundtrip(self, paper_params, tmp_path):
-        store = HelperDataStore(paper_params)
-        path = tmp_path / "empty.jsonl"
+        store = IdentificationEngine(paper_params, shards=1)
+        path = tmp_path / "empty"
         store.save(path)
-        assert len(HelperDataStore.load(path)) == 0
+        with IdentificationEngine.open(path) as loaded:
+            assert len(loaded) == 0
 
     def test_save_is_atomic_under_midwrite_failure(self, populated_store,
                                                    tmp_path):
-        """A save that dies mid-write must leave the previous file intact
+        """A save that dies mid-write must leave the previous store intact
         and no temp debris behind."""
         store, _, _ = populated_store
-        path = tmp_path / "store.jsonl"
+        path = tmp_path / "store"
         store.save(path)
-        good = path.read_bytes()
-        # A non-bytes verify key makes b64encode explode while this
-        # record's line is serialised — after the header already went out.
-        store._records.append(UserRecord(
+        good = {p.name: p.read_bytes() for p in path.iterdir()}
+        # A non-bytes verify key explodes while the record file is
+        # serialised — after the shard files were already staged.
+        store._extra.append(UserRecord(
             user_id="broken", verify_key=None, helper_data=b"hd"))
+        store._index.add(store.get("alice").helper().movements)
         with pytest.raises(TypeError):
             store.save(path)
-        assert path.read_bytes() == good  # old store untouched
-        assert list(tmp_path.glob("*.tmp")) == []
-        assert len(HelperDataStore.load(path)) == 3
+        assert {p.name: p.read_bytes() for p in path.iterdir()} == good
+        with IdentificationEngine.open(path) as loaded:
+            assert len(loaded) == 3
 
-    def test_bulk_load_uses_one_index_write(self, populated_store, tmp_path):
-        """load() goes through add_many: one bulk index insertion."""
-        calls = []
-
-        class CountingIndex:
-            def __init__(self, params):
-                self._inner = VectorizedScanIndex(params)
-
-            def add_many(self, sketches):
-                calls.append(len(sketches))
-                return self._inner.add_many(sketches)
-
-            def add(self, sketch):
-                raise AssertionError("load() must not add row-by-row")
-
-            def search(self, probe):
-                return self._inner.search(probe)
-
+    def test_bulk_load_uses_one_index_write(self, populated_store, tmp_path,
+                                            monkeypatch):
+        """open() maps the saved sketch index: no row is re-added."""
         store, _, _ = populated_store
-        path = tmp_path / "store.jsonl"
+        path = tmp_path / "store"
         store.save(path)
-        loaded = HelperDataStore.load(path, index_factory=CountingIndex)
-        assert len(loaded) == 3
-        assert calls == [3]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("open() must not rebuild the index")
+
+        monkeypatch.setattr(ShardedSketchIndex, "add", refuse)
+        monkeypatch.setattr(ShardedSketchIndex, "add_many", refuse)
+        with IdentificationEngine.open(path) as loaded:
+            assert len(loaded) == 3
+            assert loaded.get("carol").user_id == "carol"
 
     def test_truncated_file_rejected(self, populated_store, tmp_path):
         store, _, _ = populated_store
-        path = tmp_path / "store.jsonl"
+        path = tmp_path / "store"
         store.save(path)
-        content = path.read_text().splitlines()
-        path.write_text("\n".join(content[:-1]) + "\n")  # drop a record
-        with pytest.raises(ParameterError, match="count mismatch"):
-            HelperDataStore.load(path)
+        records = path / "records.bin"
+        records.write_bytes(records.read_bytes()[:-10])  # clip a record
+        with IdentificationEngine.open(path) as loaded:
+            with pytest.raises(ParameterError, match="truncated"):
+                loaded.get("alice")
 
     def test_corrupt_record_rejected(self, populated_store, tmp_path):
         store, _, _ = populated_store
-        path = tmp_path / "store.jsonl"
+        path = tmp_path / "store"
         store.save(path)
-        lines = path.read_text().splitlines()
-        lines[1] = '{"user_id": "x"}'  # missing fields
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParameterError, match="malformed record"):
-            HelperDataStore.load(path)
+        records = path / "records.bin"
+        data = bytearray(records.read_bytes())
+        data[0:2] = b"\xff\xff"  # first record's user-id length
+        records.write_bytes(bytes(data))
+        with IdentificationEngine.open(path) as loaded:
+            with pytest.raises(ParameterError, match="malformed engine record"):
+                loaded.get("alice")
 
     def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "junk.jsonl"
-        path.write_text("this is not json\n")
-        with pytest.raises(ParameterError, match="header"):
-            HelperDataStore.load(path)
+        (tmp_path / "manifest.json").write_text("this is not json")
+        with pytest.raises(ParameterError, match="malformed"):
+            IdentificationEngine.open(tmp_path)
 
-    def test_wrong_format_version_rejected(self, paper_params, tmp_path):
-        import json
-
-        path = tmp_path / "future.jsonl"
-        path.write_text(json.dumps({
-            "format": 99, "params": paper_params.to_dict(), "records": 0,
-        }) + "\n")
+    def test_wrong_format_version_rejected(self, populated_store, tmp_path):
+        store, _, _ = populated_store
+        path = tmp_path / "store"
+        store.save(path)
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["format"] = 99
+        (path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ParameterError, match="unsupported"):
-            HelperDataStore.load(path)
+            IdentificationEngine.open(path)
 
     def test_server_restart_flow(self, populated_store, tmp_path,
                                  paper_params, fast_scheme, rng):
-        """Full restart: save, reload into a new server, identify."""
+        """Full restart: save, reopen into a new server, identify."""
         from repro.protocols.device import BiometricDevice
         from repro.protocols.runners import run_identification
         from repro.protocols.server import AuthenticationServer
@@ -182,21 +182,18 @@ class TestStorePersistence:
         # Real keys for one user so the challenge-response completes.
         secret, helper = fe.generate(templates["alice"], HmacDrbg(b"alice"))
         keypair = fast_scheme.keygen_from_seed(secret)
-        store.replace_helper("alice", helper.to_bytes())
-        store._records[store._by_id["alice"]] = UserRecord(
-            user_id="alice", verify_key=keypair.verify_key,
-            helper_data=helper.to_bytes(),
-        )
-        path = tmp_path / "store.jsonl"
+        store.rotate(UserRecord(user_id="alice",
+                                verify_key=keypair.verify_key,
+                                helper_data=helper.to_bytes()))
+        path = tmp_path / "store"
         store.save(path)
 
-        restarted = AuthenticationServer(
-            paper_params, fast_scheme,
-            store=HelperDataStore.load(path), seed=b"restarted",
-        )
-        device = BiometricDevice(paper_params, fast_scheme, seed=b"dev")
-        noisy = fe.sketcher.line.reduce(
-            templates["alice"] + rng.integers(
-                -paper_params.t, paper_params.t + 1, paper_params.n))
-        run = run_identification(device, restarted, DuplexLink(), noisy)
+        with IdentificationEngine.open(path) as reopened:
+            restarted = AuthenticationServer(
+                paper_params, fast_scheme, store=reopened, seed=b"restarted")
+            device = BiometricDevice(paper_params, fast_scheme, seed=b"dev")
+            noisy = fe.sketcher.line.reduce(
+                templates["alice"] + rng.integers(
+                    -paper_params.t, paper_params.t + 1, paper_params.n))
+            run = run_identification(device, restarted, DuplexLink(), noisy)
         assert run.outcome.identified and run.outcome.user_id == "alice"

@@ -106,21 +106,6 @@ class TestIdentification:
 
 
 class TestSketchLifecycle:
-    def test_rotate_requires_lifecycle_store(self, stack, population):
-        """The default in-memory HelperDataStore has no versioning;
-        asking it to rotate is a protocol error, not a silent enroll."""
-        from repro.exceptions import ProtocolError
-        from repro.protocols.messages import RotateRequest
-
-        device, server = stack
-        sub = device.enroll("user-0000", population.template(0))
-        request = RotateRequest(user_id=sub.user_id,
-                                verify_key=sub.verify_key,
-                                helper_data=sub.helper_data,
-                                supersede=True)
-        with pytest.raises(ProtocolError, match="lifecycle"):
-            server.handle_rotate(request)
-
     @pytest.fixture
     def engine_stack(self, params, fast_scheme, population):
         server = AuthenticationServer.with_engine(params, fast_scheme,

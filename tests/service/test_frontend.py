@@ -79,7 +79,7 @@ class TestDropInSurface:
             assert frontend.params is server.params
             assert frontend.scheme is server.scheme
             assert frontend.store is server.store
-            assert frontend.engine_stats() is None
+            assert frontend.engine_stats().enrolled == len(server.store)
             assert frontend.outstanding_sessions() == 0
             assert frontend.audit_log() == server.audit_log()
 

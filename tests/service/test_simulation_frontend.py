@@ -43,13 +43,12 @@ class TestFrontendRoutedSimulation:
 
         routed = WorkloadSimulator.with_frontend(
             paper_params, fast_scheme, n_users=5, seed=9,
-            store_factory=lambda p: IdentificationEngine(p, shards=2))
+            store=IdentificationEngine(paper_params, shards=2))
         try:
             report = routed.run(25)
         finally:
             routed.close()
         assert report.n_requests == 25
         stats = routed.engine_stats()
-        assert stats is not None
         assert stats.enrolled == 5
         assert stats.probes_served >= 25

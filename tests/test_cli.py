@@ -160,6 +160,7 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert "throughput" in out
         assert "12 requests" in out
+        assert "probes served: 12" in out  # engine counters by default
 
     def test_bad_mix_fails_cleanly(self, capsys):
         assert main(["simulate", "--genuine", "0.9", "--stranger", "0.9",
