@@ -16,11 +16,11 @@ the PR's acceptance floors:
   where the two-iteration timing is noisier) — the whole batch rides one
   multi-scalar multiplication, so the shared doubling chain is the win.
 
-``run_crypto_bench`` parity-checks every fast path against the reference
-implementations while timing, so a reported speedup can never come from a
-wrong answer.  The acceptance run writes its trajectory row to a scratch
-file; ``repro crypto-bench`` is what appends to the tracked
-``BENCH_crypto.json`` at the repo root.
+Every fast path is parity-checked against the reference implementation
+before it is timed, so a reported speedup can never come from a wrong
+answer.  When the ``gmpy2`` integer kernel is importable, a second floor
+holds it to >= 3x the pure-Python kernel on variable-point scalar
+multiplication and on warm-table verify for the slowest scheme.
 
 Set ``REPRO_BENCH_SMOKE=1`` (the CI bench-smoke job does) to run the same
 assertions at reduced iteration counts.
@@ -29,12 +29,18 @@ assertions at reduced iteration counts.
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
-from repro.crypto.bench import run_crypto_bench, write_trajectory
+from conftest import build_stack
+from repro.core.params import SystemParams
+from repro.crypto import backend
 from repro.crypto.ec import P256
+from repro.crypto.prng import HmacDrbg
 from repro.crypto.signatures import get_scheme
+from repro.protocols.runners import run_identification
+from repro.protocols.transport import DuplexLink
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
@@ -46,6 +52,87 @@ EC_SCHEMES = ["ecdsa-p-256", "schnorr-p-256"]
 #: at >= 3x; smoke keeps k but loosens the floor for two-iteration noise).
 BATCH_K = 32
 BATCH_FLOOR = 2.5 if SMOKE else 3.0
+
+
+def _mean_time(fn, iterations: int) -> float:
+    """Mean wall-clock seconds of ``iterations`` calls of ``fn``."""
+    start = time.perf_counter()
+    for _ in range(iterations):
+        fn()
+    return (time.perf_counter() - start) / iterations
+
+
+def _scalars(count: int) -> list[int]:
+    drbg = HmacDrbg(b"\0" * 8, personalization=b"kernel-floors")
+    return [drbg.random_int_range(1, P256.n - 1) for _ in range(count)]
+
+
+def _wnaf_s(iterations: int) -> float:
+    """Variable-point wNAF scalar multiplication, parity-checked."""
+    q = P256.multiply(7, P256.generator)
+    scalars = _scalars(iterations)
+    assert P256.multiply(scalars[0], q) == P256.multiply_affine(scalars[0], q)
+    it = iter(scalars)
+    return _mean_time(lambda: P256.multiply(next(it), q), iterations)
+
+
+def _verify_s(name: str, iterations: int) -> tuple[float, float]:
+    """(cold reference, warm-table) verify seconds for one scheme, after
+    checking every path accepts a good signature and the table path
+    rejects a forged one."""
+    scheme = get_scheme(name)
+    keypair = scheme.keygen_from_seed(b"kernel-floors-" + name.encode())
+    message = b"kernel-floors-challenge"
+    signature = scheme.sign(keypair.signing_key, message)
+    table = scheme.precompute(keypair.verify_key)
+    assert table is not None
+    assert scheme.verify(keypair.verify_key, message, signature)
+    assert scheme.verify(keypair.verify_key, message, signature, table=table)
+    assert scheme.verify_reference(keypair.verify_key, message, signature)
+    forged = bytearray(signature)
+    forged[-1] ^= 1
+    assert not scheme.verify(keypair.verify_key, message, bytes(forged),
+                             table=table)
+    cold = _mean_time(lambda: scheme.verify_reference(
+        keypair.verify_key, message, signature), max(2, iterations // 4))
+    warm = _mean_time(lambda: scheme.verify(
+        keypair.verify_key, message, signature, table=table), iterations)
+    return cold, warm
+
+
+def _identify_s() -> tuple[float, float]:
+    """End-to-end Fig. 3 identification seconds per pass: the first,
+    fully cold pass and the third, where every verify hits a warm key
+    table (the second pass builds the tables of recurring keys)."""
+    params = SystemParams.paper_defaults(n=256)
+    device, server, population = build_stack(
+        params, IDENTIFY_USERS, scheme=get_scheme("ecdsa-p-256"))
+
+    def one_pass() -> float:
+        start = time.perf_counter()
+        for request in range(IDENTIFY_REQUESTS):
+            user = request % IDENTIFY_USERS
+            outcome = run_identification(
+                device, server, DuplexLink(),
+                population.genuine_reading(user)).outcome
+            assert outcome.identified
+            assert outcome.user_id == population.user_ids()[user]
+        return time.perf_counter() - start
+
+    cold = one_pass()
+    one_pass()
+    return cold, one_pass()
+
+
+def _batch(k=BATCH_K):
+    scheme = get_scheme("schnorr-p-256")
+    keypairs = [scheme.keygen_from_seed(b"bbv%02d" % i * 6) for i in range(k)]
+    signatures = [scheme.sign(kp.signing_key, b"challenge")
+                  for kp in keypairs]
+    tables = [scheme.precompute(kp.verify_key) for kp in keypairs]
+    items = [(kp.verify_key, b"challenge", sig)
+             for kp, sig in zip(keypairs, signatures)]
+    return scheme, items, tables
 
 
 @pytest.fixture(scope="module")
@@ -106,26 +193,15 @@ class TestBenchVerifyPaths:
 
 
 class TestBenchBatchVerify:
-    def _batch(self, k=BATCH_K):
-        scheme = get_scheme("schnorr-p-256")
-        keypairs = [scheme.keygen_from_seed(b"bbv%02d" % i * 6)
-                    for i in range(k)]
-        signatures = [scheme.sign(kp.signing_key, b"challenge")
-                      for kp in keypairs]
-        tables = [scheme.precompute(kp.verify_key) for kp in keypairs]
-        items = [(kp.verify_key, b"challenge", sig)
-                 for kp, sig in zip(keypairs, signatures)]
-        return scheme, items, tables
-
     def test_bench_batch_verify_warm(self, benchmark):
-        scheme, items, tables = self._batch()
+        scheme, items, tables = _batch()
         verdicts = benchmark(scheme.verify_batch, items, tables)
         assert verdicts == [True] * BATCH_K
 
     def test_bench_batch_verify_with_one_forgery(self, benchmark):
         """The bisection path: one forged member costs ~log k extra
         aggregate checks, never a full serial fallback."""
-        scheme, items, tables = self._batch()
+        scheme, items, tables = _batch()
         key, message, signature = items[BATCH_K // 2]
         bad = bytearray(signature)
         bad[-1] ^= 1
@@ -134,54 +210,95 @@ class TestBenchBatchVerify:
         assert verdicts == [i != BATCH_K // 2 for i in range(BATCH_K)]
 
 
-def test_kernel_speedup_floors(benchmark, capsys, tmp_path):
-    """Acceptance floors: >= 8x scalar mult, >= 5x warm-table EC verify.
+def test_kernel_speedup_floors(benchmark, warm_curve):
+    """Acceptance floors: >= 8x scalar mult, >= 5x warm-table EC verify,
+    >= 2.5x warm-table DSA verify, batch verify at k=32 >= 3x the warm
+    single verify (2.5x at smoke sizes), and warm identification no
+    worse than 3x cold."""
+    g = warm_curve.generator
+    scalars = _scalars(ITERATIONS)
+    q = warm_curve.multiply(scalars[-1], g)
+    table = warm_curve.precompute_table(q)
+    for k in scalars[:2]:
+        assert warm_curve.multiply(k, g) == warm_curve.multiply_affine(k, g)
+    u1, u2 = scalars[:2]
+    assert warm_curve.shamir_multiply(u1, u2, table=table) == warm_curve.add(
+        warm_curve.multiply_affine(u1, g), warm_curve.multiply_affine(u2, q))
+    batch_scheme, items, tables = _batch()
+    assert batch_scheme.verify_batch(items, tables) == [True] * BATCH_K
+    forged = list(items)
+    key, message, signature = forged[BATCH_K // 2]
+    forged[BATCH_K // 2] = (key, message, signature[:-1]
+                            + bytes([signature[-1] ^ 1]))
+    assert batch_scheme.verify_batch(forged, tables) == \
+        [i != BATCH_K // 2 for i in range(BATCH_K)]
 
-    One ``run_crypto_bench`` pass measures everything (parity-checked
-    against the reference implementations while timed) and writes the
-    run as a trajectory row to a scratch file, so the tracked
-    BENCH_crypto.json only changes when ``repro crypto-bench`` is run
-    on purpose.
-    """
-    report = benchmark.pedantic(
-        lambda: run_crypto_bench(
-            iterations=ITERATIONS,
-            identify_users=IDENTIFY_USERS,
-            identify_requests=IDENTIFY_REQUESTS,
-            batch_k=BATCH_K,
-        ),
-        rounds=1, iterations=1,
-    )
-    with capsys.disabled():
-        print()
-        for line in report.summary_lines():
-            print(line)
-    write_trajectory(report, tmp_path / "BENCH_crypto.json")
+    def singles():
+        return [batch_scheme.verify(*item, table=t)
+                for item, t in zip(items, tables)]
 
-    assert report.scalar_mult_speedup >= 8.0, (
-        f"fixed-base wNAF/Jacobian scalar mult only "
-        f"x{report.scalar_mult_speedup:.1f} over the affine reference; "
-        f"the kernel promises >= 8x"
+    def measure():
+        it = iter(scalars)
+        batch_iters = max(2, ITERATIONS // 2)
+        return {
+            "affine": _mean_time(
+                lambda: warm_curve.multiply_affine(scalars[0], g),
+                max(2, ITERATIONS // 4)),
+            "fixed_base": _mean_time(
+                lambda: warm_curve.multiply(next(it), g), ITERATIONS),
+            "verify": {name: _verify_s(name, ITERATIONS)
+                       for name in EC_SCHEMES + ["dsa-1024"]},
+            "batch": _mean_time(
+                lambda: batch_scheme.verify_batch(items, tables),
+                batch_iters),
+            "singles": _mean_time(singles, batch_iters),
+            "identify": _identify_s(),
+        }
+
+    times = benchmark.pedantic(measure, rounds=1, iterations=1)
+    speedup = times["affine"] / times["fixed_base"]
+    assert speedup >= 8.0, (
+        f"fixed-base wNAF/Jacobian scalar mult only x{speedup:.1f} over "
+        f"the affine reference; the kernel promises >= 8x"
     )
     for name in EC_SCHEMES:
-        speedup = report.verify_speedup(name)
-        assert speedup >= 5.0, (
-            f"{name} warm-table verify only x{speedup:.1f} over the cold "
-            f"affine reference; the kernel promises >= 5x"
+        cold, warm = times["verify"][name]
+        assert cold / warm >= 5.0, (
+            f"{name} warm-table verify only x{cold / warm:.1f} over the "
+            f"cold affine reference; the kernel promises >= 5x"
         )
     # DSA's cold baseline is builtin C pow, so the honest floor is lower.
-    assert report.verify_speedup("dsa-1024") >= 2.5
-    # The PR-5 acceptance floor: randomized batch verification at k=32
-    # beats the warm single-table verify per-signature throughput >= 3x
-    # (2.5x at smoke iteration counts).
-    batch_speedup = report.batch_verify_speedup("schnorr-p-256")
+    cold, warm = times["verify"]["dsa-1024"]
+    assert cold / warm >= 2.5
+    # Randomized batch verification at k=32: the whole batch rides one
+    # multi-scalar multiplication, so the shared doubling chain must
+    # beat per-signature warm verifies.
+    batch_speedup = times["singles"] / times["batch"]
     assert batch_speedup >= BATCH_FLOOR, (
         f"schnorr-p-256 verify_batch at k={BATCH_K} only "
         f"x{batch_speedup:.2f} the warm single-verify throughput; the "
         f"multi-scalar kernel promises >= {BATCH_FLOOR}x"
     )
-    # Loose sanity bound only — each pass is a handful of requests, so the
-    # ratio is noisy; this catches "caching made identification terrible",
-    # not jitter.  The ratio itself is recorded in BENCH_crypto.json.
-    identify = report.identify["ecdsa-p-256"]
-    assert identify["identify_warm"] <= identify["identify_cold"] * 3.0
+    # Loose sanity bound only: each pass is a handful of requests, so
+    # the ratio is noisy; this catches "caching made identification
+    # terrible", not jitter.
+    cold, warm = times["identify"]
+    assert warm <= cold * 3.0
+
+
+@pytest.mark.skipif("gmpy2" not in backend.available_backends(),
+                    reason="the gmpy2 integer kernel is not installed")
+def test_gmpy2_kernel_speedup_floor():
+    """Floor: the gmpy2 kernel is >= 3x the pure-Python one on wNAF
+    scalar multiplication and on warm-table verify for the slowest of
+    the three schemes (each leg parity-checked before it is timed)."""
+    schemes = EC_SCHEMES + ["dsa-1024"]
+    legs = {}
+    for name in ("python", "gmpy2"):
+        with backend.use_backend(name):
+            legs[name] = (_wnaf_s(6), [_verify_s(s, 6)[1] for s in schemes])
+    wnaf_x = legs["python"][0] / legs["gmpy2"][0]
+    verify_x = min(py / gm for py, gm in zip(legs["python"][1],
+                                             legs["gmpy2"][1]))
+    assert wnaf_x >= 3.0, f"gmpy2 wNAF scalar mult only x{wnaf_x:.1f}"
+    assert verify_x >= 3.0, f"gmpy2 warm-table verify only x{verify_x:.1f}"

@@ -55,8 +55,8 @@ def main() -> None:
           f"{stats['batch_items']} signatures, "
           f"{stats['batch_warm']} against warm tables")
     print("-> the service frontend coalesces concurrent verification "
-          "responses\n   into exactly these calls (repro net-bench "
-          "--verify-heavy)")
+          "responses\n   into exactly these calls (the verify-10k workload "
+          "of bench/run.py)")
 
 
 if __name__ == "__main__":

@@ -90,7 +90,7 @@ def main() -> None:
     print(f"{N_REQUESTS / concurrent_s:,.0f} identifications/s "
           f"({stats.mean_batch:.1f} probes coalesced per batched scan)")
     print(f"-> the gap grows with the database: at 100k records the "
-          f"batched scan wins >=3x (see `repro service-bench`)")
+          f"batched scan wins >=3x (benchmarks/test_bench_service.py)")
 
     print("\n=== abandoned challenges stay bounded ===")
     for _ in range(100):

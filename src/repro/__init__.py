@@ -31,8 +31,8 @@ Layering (bottom-up):
   a bounded-admission ``ServiceFrontend`` that micro-batches concurrent
   identification probes through the engine's batch kernel and fans
   signature checks out to a worker pool over the shared verify-table
-  cache, plus the ``repro service-bench`` closed-loop load harness.
-  Protocols never import service; service imports protocols + engine;
+  cache.  Protocols never import service; service imports protocols +
+  engine;
 * :mod:`repro.net` — the TCP transport: length-prefixed framing of the
   canonical message encodings, an asyncio ``NetworkServer`` fronting
   either the plain server or the service frontend, and the blocking
@@ -57,8 +57,9 @@ Quick start::
         -params.t, params.t + 1, size=params.n)
     assert fe.reproduce(noisy, helper) == secret
 
-See ``examples/`` for the full enrollment / identification protocols and
-``benchmarks/`` for the reproduction of the paper's Table II and Fig. 4.
+See ``examples/`` for the full enrollment / identification protocols,
+``benchmarks/`` for the reproduction of the paper's Table II and Fig. 4,
+and ``bench/`` for the benchmark of the stack serving over TCP.
 """
 
 from repro.core import (

@@ -18,9 +18,9 @@ verify-only predecessors.  Two questions decide whether that is safe:
   (fresh noisy readings, old versions kept verify-only), and measures
   identification accuracy at every version count.
 
-``repro lifecycle-bench`` runs both and appends the rows to
-``BENCH_service.json``.  ``REPRO_BENCH_SMOKE=1`` shrinks the population
-and version count to CI scale.
+``repro lifecycle-bench`` runs both and prints the rows.
+``REPRO_BENCH_SMOKE=1`` shrinks the population and version count to CI
+scale.
 """
 
 from __future__ import annotations
@@ -63,16 +63,6 @@ class LifecycleBenchReport:
     dimension: int
     analysis_params: dict
     rows: tuple
-
-    def to_json_dict(self) -> dict:
-        """The trajectory-entry shape ``write_trajectory`` appends."""
-        return {
-            "bench": "lifecycle",
-            "n_users": self.n_users,
-            "dimension": self.dimension,
-            "analysis_params": dict(self.analysis_params),
-            "per_version": [dict(row) for row in self.rows],
-        }
 
     def summary_lines(self) -> list[str]:
         """Human-readable table, one row per version count."""

@@ -23,32 +23,6 @@ The subcommands cover the workflows a user reaches for first:
     ``--engine-shards W`` splits the engine the workload is served from
     into W shards (default: 1).
 
-``engine-bench``
-    Sketch-search throughput shootout: single-probe loop vs the batch
-    kernel vs the sharded engine, on a synthetic N-record database
-    (parity-checked while timed).  ``--sign-scheme NAME`` appends the
-    signature round-trip (challenge → sign → verify) so the reported
-    latency covers the full Fig. 3 flow.
-
-``crypto-bench``
-    Signature-kernel shootout: affine-reference vs Jacobian/wNAF scalar
-    multiplication, per-scheme sign/verify (cold reference, fast, and
-    precomputed-table paths), randomized batch verification at
-    ``--batch-k`` signatures per multi-scalar pass, and end-to-end
-    identification latency.  ``--backend auto|python|gmpy2|both``
-    selects the integer kernel (``both`` runs one leg per backend and
-    prints the shootout).  Appends each backend-tagged run to the
-    ``BENCH_crypto.json`` trajectory artifact.
-
-``service-bench``
-    Closed-loop concurrent-serving shootout: the serial one-request-at-
-    a-time loop vs the micro-batching service frontend, same engine and
-    scheme, with throughput and p50/p95/p99 latency per phase, plus a
-    verification leg measuring what the frontend's batched signature
-    verification buys (``--verify-requests``).  Appends each run to the
-    ``BENCH_service.json`` trajectory artifact; ``REPRO_BENCH_SMOKE=1``
-    shrinks the default sizes.
-
 ``serve``
     Run the stack as an actual TCP service: an asyncio
     :class:`~repro.net.server.NetworkServer` fronting the
@@ -64,22 +38,7 @@ The subcommands cover the workflows a user reaches for first:
     for text exposition, ``--traces`` for recent per-request span
     listings, ``--json`` for the raw payload.
 
-``net-bench``
-    Closed-loop multi-client identification bench over localhost TCP
-    (``--verify-heavy`` switches to a 3:1 verification mix exercising
-    the batched signature verification end-to-end; ``--pipeline N``
-    switches to the single-connection shootout — a serial-client
-    baseline vs N requests in flight on one pipelined connection;
-    ``--overload`` switches to the overload bench — static vs adaptive
-    frontend baselines, then mixed-deadline load at a multiple of the
-    sustainable rate with shed-classification asserts), plus an
-    overload probe showing queue-full backpressure surfacing
-    client-side as ``ServiceOverloadError``.  Appends to the
-    ``BENCH_service.json`` trajectory with ``"transport": "tcp"`` and
-    the mix tag.
-
-All numeric arguments default to the paper's Table II values
-(the bench subcommands default to bench-sized dimensions instead).
+All numeric arguments default to the paper's Table II values.
 """
 
 from __future__ import annotations
@@ -202,50 +161,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.frontend:
         for line in simulator.endpoint.stats().summary_lines():
             print(line)
-    return 0
-
-
-def _cmd_service_bench(args: argparse.Namespace) -> int:
-    from repro.service.bench import (
-        run_obs_overhead_bench,
-        run_service_bench,
-        write_trajectory,
-    )
-
-    kwargs = dict(
-        dimension=args.dimension,
-        n_users=args.users,
-        pool_users=args.pool_users,
-        n_requests=args.requests,
-        clients=args.clients,
-        shards=args.shards,
-        scheme=args.scheme,
-        seed=args.seed,
-        max_batch=args.max_batch,
-        batch_window_s=args.window_ms / 1e3,
-        batch_linger_s=args.linger_ms / 1e3,
-        frontend_workers=args.workers,
-        verify_requests=args.verify_requests,
-    )
-    if args.obs_overhead:
-        overhead = run_obs_overhead_bench(repeats=args.obs_repeats, **kwargs)
-        for line in overhead.instrumented.summary_lines():
-            print(line)
-        for line in overhead.summary_lines():
-            print(line)
-        if args.json:
-            write_trajectory(overhead.instrumented, args.json,
-                             extra={"obs": "instrumented"})
-            write_trajectory(overhead.disabled, args.json,
-                             extra={"obs": "disabled"})
-            print(f"instrumented/disabled row pair appended to {args.json}")
-        return 0
-    report = run_service_bench(**kwargs)
-    for line in report.summary_lines():
-        print(line)
-    if args.json:
-        write_trajectory(report, args.json)
-        print(f"trajectory appended to {args.json}")
     return 0
 
 
@@ -454,7 +369,6 @@ def _cmd_compact(args: argparse.Namespace) -> int:
 
 def _cmd_lifecycle_bench(args: argparse.Namespace) -> int:
     from repro.analysis.lifecycle import run_lifecycle_bench
-    from repro.service.bench import write_trajectory
 
     report = run_lifecycle_bench(n_users=args.users,
                                  max_versions=args.versions,
@@ -462,131 +376,6 @@ def _cmd_lifecycle_bench(args: argparse.Namespace) -> int:
                                  seed=args.seed)
     for line in report.summary_lines():
         print(line)
-    if args.json:
-        write_trajectory(report, args.json)
-        print(f"trajectory appended to {args.json}")
-    return 0
-
-
-def _cmd_net_bench(args: argparse.Namespace) -> int:
-    from repro.net.bench import (
-        run_chaos_bench,
-        run_net_bench,
-        run_overload_bench,
-        write_trajectory,
-    )
-
-    kwargs = dict(
-        dimension=args.dimension,
-        n_users=args.users,
-        pool_users=args.pool_users,
-        n_requests=args.requests,
-        clients=args.clients,
-        shards=args.shards,
-        scheme=args.scheme,
-        seed=args.seed,
-        max_batch=args.max_batch,
-        batch_window_s=args.window_ms / 1e3,
-        batch_linger_s=args.linger_ms / 1e3,
-        frontend_workers=args.workers,
-    )
-    if args.overload:
-        if args.chaos or args.verify_heavy or args.pipeline > 1:
-            raise ParameterError("--overload is exclusive with --chaos, "
-                                 "--verify-heavy, and --pipeline")
-        report = run_overload_bench(overload_factor=args.overload_factor,
-                                    **kwargs)
-    elif args.chaos:
-        if args.verify_heavy:
-            raise ParameterError("--chaos and --verify-heavy are exclusive")
-        if args.pipeline > 1:
-            raise ParameterError("--chaos and --pipeline are exclusive")
-        report = run_chaos_bench(chaos_seed=args.chaos_seed, **kwargs)
-    else:
-        report = run_net_bench(verify_heavy=args.verify_heavy,
-                               pipeline=args.pipeline, **kwargs)
-    for line in report.summary_lines():
-        print(line)
-    if args.json:
-        write_trajectory(report, args.json)
-        print(f"trajectory appended to {args.json}")
-    return 0
-
-
-def _cmd_engine_bench(args: argparse.Namespace) -> int:
-    from repro.engine.bench import run_engine_bench
-
-    params = SystemParams(a=args.unit, k=args.units_per_interval,
-                          v=args.intervals, t=args.threshold,
-                          n=args.dimension)
-    report = run_engine_bench(params, n_records=args.records,
-                              n_probes=args.probes, shards=args.shards,
-                              workers=args.workers, seed=args.seed,
-                              sign_scheme=args.sign_scheme or None)
-    for line in report.summary_lines():
-        print(line)
-    return 0
-
-
-def _cmd_crypto_bench(args: argparse.Namespace) -> int:
-    from repro.crypto import backend as crypto_backend
-    from repro.crypto.bench import run_crypto_bench, write_trajectory
-
-    schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
-    if args.backend == "both":
-        legs = ["python"]
-        if "gmpy2" in crypto_backend.available_backends():
-            legs.append("gmpy2")
-        else:
-            print("gmpy2 backend unavailable; running the python leg only")
-    else:
-        legs = [args.backend]
-
-    reports = []
-    for leg in legs:
-        with crypto_backend.use_backend(leg):
-            report = run_crypto_bench(
-                iterations=args.iterations,
-                schemes=schemes,
-                identify_scheme=(None if args.no_identify
-                                 else args.identify_scheme),
-                identify_users=args.users,
-                identify_requests=args.requests,
-                dimension=args.dimension,
-                batch_scheme=args.batch_scheme or None,
-                batch_k=args.batch_k,
-                seed=args.seed,
-            )
-        reports.append(report)
-        for line in report.summary_lines():
-            print(line)
-        if args.json:
-            write_trajectory(report, args.json)
-            print(f"trajectory appended to {args.json}")
-
-    if len(reports) == 2:
-        py, gm = reports
-        scalar_x = (py.scalar_mult["wnaf_variable"]
-                    / gm.scalar_mult["wnaf_variable"])
-        comb_x = py.scalar_mult["fixed_base"] / gm.scalar_mult["fixed_base"]
-        verify_x = min(
-            py.schemes[s]["verify_table"] / gm.schemes[s]["verify_table"]
-            for s in py.schemes)
-        print(f"backend shootout (gmpy2 over python): "
-              f"wNAF scalar mult x{scalar_x:.1f}, "
-              f"fixed-base comb x{comb_x:.1f}, "
-              f"warm-table verify x{verify_x:.1f} (slowest scheme)")
-        if args.assert_speedup > 0:
-            if scalar_x < args.assert_speedup or \
-                    verify_x < args.assert_speedup:
-                print(f"FAIL: expected >= x{args.assert_speedup:.1f} on "
-                      f"scalar mult and warm verify, got x{scalar_x:.1f} "
-                      f"and x{verify_x:.1f}")
-                return 1
-            print(f"speedup assertion passed "
-                  f"(>= x{args.assert_speedup:.1f})")
-    elif args.assert_speedup > 0:
-        print("speedup assertion skipped: only one backend leg ran")
     return 0
 
 
@@ -642,134 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "micro-batcher + verify pool) instead of "
                                "calling the server directly")
     simulate.set_defaults(handler=_cmd_simulate)
-
-    engine_bench = subparsers.add_parser(
-        "engine-bench",
-        help="sketch-search throughput: loop vs batch vs sharded")
-    engine_bench.add_argument("--unit", "-a", type=int, default=100,
-                              help="number-line unit a (default: 100)")
-    engine_bench.add_argument("--units-per-interval", "-k", type=int,
-                              default=4,
-                              help="units per interval k, even (default: 4)")
-    engine_bench.add_argument("--intervals", "-v", type=int, default=500,
-                              help="interval count v (default: 500)")
-    engine_bench.add_argument("--threshold", "-t", type=int, default=100,
-                              help="Chebyshev threshold t (default: 100)")
-    engine_bench.add_argument("--dimension", "-n", type=int, default=128,
-                              help="template dimension n (default: 128 — "
-                                   "bench-sized, not the paper's 5000)")
-    engine_bench.add_argument("--records", type=int, default=10_000,
-                              help="enrolled sketches N (default: 10000)")
-    engine_bench.add_argument("--probes", type=int, default=64,
-                              help="probe batch size B (default: 64)")
-    engine_bench.add_argument("--shards", type=int, default=4,
-                              help="engine shard count W (default: 4)")
-    engine_bench.add_argument("--workers", type=int, default=None,
-                              help="shard worker threads (default: serial)")
-    engine_bench.add_argument("--seed", type=int, default=0)
-    engine_bench.add_argument("--sign-scheme", default="",
-                              help="append the challenge->sign->verify leg "
-                                   "with this signature scheme (default: "
-                                   "search only)")
-    engine_bench.set_defaults(handler=_cmd_engine_bench)
-
-    crypto_bench = subparsers.add_parser(
-        "crypto-bench",
-        help="signature-kernel shootout: affine vs wNAF/Jacobian, "
-             "cold vs warm-table verify, end-to-end identify")
-    crypto_bench.add_argument("--iterations", type=int, default=8,
-                              help="iterations per measurement (default: 8)")
-    crypto_bench.add_argument("--schemes",
-                              default="ecdsa-p-256,schnorr-p-256,dsa-1024",
-                              help="comma-separated scheme names")
-    crypto_bench.add_argument("--identify-scheme", default="ecdsa-p-256",
-                              help="scheme for the end-to-end identification "
-                                   "flow (default: ecdsa-p-256)")
-    crypto_bench.add_argument("--no-identify", action="store_true",
-                              help="skip the end-to-end identification flow")
-    crypto_bench.add_argument("--batch-scheme", default="schnorr-p-256",
-                              help="scheme for the randomized batch-verify "
-                                   "leg (default: schnorr-p-256; empty "
-                                   "string to skip)")
-    crypto_bench.add_argument("--batch-k", type=int, default=32,
-                              help="batch size for the batch-verify leg "
-                                   "(default: 32)")
-    crypto_bench.add_argument("--users", type=int, default=8,
-                              help="enrolled users for the identify flow")
-    crypto_bench.add_argument("--requests", type=int, default=8,
-                              help="identification requests per pass")
-    crypto_bench.add_argument("--dimension", "-n", type=int, default=256,
-                              help="template dimension for the identify flow "
-                                   "(default: 256 — bench-sized)")
-    crypto_bench.add_argument("--seed", type=int, default=0)
-    crypto_bench.add_argument("--backend", default="auto",
-                              choices=("auto", "python", "gmpy2", "both"),
-                              help="integer-kernel backend: auto picks "
-                                   "gmpy2 when importable; both runs a "
-                                   "python leg then a gmpy2 leg and prints "
-                                   "the shootout (default: auto)")
-    crypto_bench.add_argument("--assert-speedup", type=float, default=0.0,
-                              help="with --backend both: exit non-zero "
-                                   "unless the gmpy2 leg beats python by "
-                                   "this factor on scalar mult and warm "
-                                   "verify (default: 0 = no assertion)")
-    crypto_bench.add_argument("--json", default="BENCH_crypto.json",
-                              help="trajectory artifact path (empty string "
-                                   "to skip writing)")
-    crypto_bench.set_defaults(handler=_cmd_crypto_bench)
-
-    service_bench = subparsers.add_parser(
-        "service-bench",
-        help="concurrent serving shootout: serial loop vs micro-batched "
-             "frontend on one engine, throughput + latency percentiles")
-    service_bench.add_argument("--users", type=int, default=None,
-                               help="enrolled records in the engine "
-                                    "(default: 100000; 30000 under "
-                                    "REPRO_BENCH_SMOKE=1)")
-    service_bench.add_argument("--pool-users", type=int, default=16,
-                               help="genuinely enrolled users driving the "
-                                    "probes (default: 16)")
-    service_bench.add_argument("--requests", type=int, default=None,
-                               help="identifications per phase (default: "
-                                    "256; 128 under smoke)")
-    service_bench.add_argument("--clients", type=int, default=None,
-                               help="closed-loop client threads (default: "
-                                    "32; 16 under smoke)")
-    service_bench.add_argument("--dimension", "-n", type=int, default=128,
-                               help="template dimension (default: 128 — "
-                                    "bench-sized, not the paper's 5000)")
-    service_bench.add_argument("--shards", type=int, default=4,
-                               help="engine shard count (default: 4)")
-    service_bench.add_argument("--scheme", default="dsa-1024",
-                               help="signature scheme for both phases "
-                                    "(default: dsa-1024)")
-    service_bench.add_argument("--max-batch", type=int, default=64,
-                               help="micro-batch size cap (default: 64)")
-    service_bench.add_argument("--window-ms", type=float, default=50.0,
-                               help="micro-batch window cap, ms (default: 50)")
-    service_bench.add_argument("--linger-ms", type=float, default=4.0,
-                               help="micro-batch idle-gap linger, ms "
-                                    "(default: 4)")
-    service_bench.add_argument("--workers", type=int, default=4,
-                               help="frontend verify workers (default: 4)")
-    service_bench.add_argument("--verify-requests", type=int, default=None,
-                               help="verifications for the batched-verify "
-                                    "leg (default: same as --requests; 0 "
-                                    "skips the leg)")
-    service_bench.add_argument("--seed", type=int, default=0)
-    service_bench.add_argument("--json", default="BENCH_service.json",
-                               help="trajectory artifact path (empty string "
-                                    "to skip writing)")
-    service_bench.add_argument("--obs-overhead", action="store_true",
-                               help="run the bench twice — observability "
-                                    "on vs off — and append the row pair "
-                                    "(tagged obs=instrumented/disabled) "
-                                    "with the fractional overhead")
-    service_bench.add_argument("--obs-repeats", type=int, default=1,
-                               help="repeats per mode for --obs-overhead; "
-                                    "the fastest run per mode is kept "
-                                    "(default: 1)")
-    service_bench.set_defaults(handler=_cmd_service_bench)
 
     serve = subparsers.add_parser(
         "serve",
@@ -882,88 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "exit code 1 when not ready")
     stats.set_defaults(handler=_cmd_stats)
 
-    net_bench = subparsers.add_parser(
-        "net-bench",
-        help="closed-loop multi-client identification bench over "
-             "localhost TCP, with a queue-full backpressure probe")
-    net_bench.add_argument("--users", type=int, default=None,
-                           help="enrolled records in the engine "
-                                "(default: 50000; 10000 under "
-                                "REPRO_BENCH_SMOKE=1)")
-    net_bench.add_argument("--pool-users", type=int, default=16,
-                           help="genuinely enrolled users driving the "
-                                "probes (default: 16)")
-    net_bench.add_argument("--requests", type=int, default=None,
-                           help="identifications in the measured phase "
-                                "(default: 192; 64 under smoke)")
-    net_bench.add_argument("--clients", type=int, default=None,
-                           help="closed-loop client connections (default: "
-                                "16; 8 under smoke)")
-    net_bench.add_argument("--dimension", "-n", type=int, default=128,
-                           help="template dimension (default: 128 — "
-                                "bench-sized, not the paper's 5000)")
-    net_bench.add_argument("--shards", type=int, default=4,
-                           help="engine shard count (default: 4)")
-    net_bench.add_argument("--scheme", default="dsa-1024",
-                           help="signature scheme (default: dsa-1024)")
-    net_bench.add_argument("--max-batch", type=int, default=64,
-                           help="micro-batch size cap (default: 64)")
-    net_bench.add_argument("--window-ms", type=float, default=50.0,
-                           help="micro-batch window cap, ms (default: 50)")
-    net_bench.add_argument("--linger-ms", type=float, default=4.0,
-                           help="micro-batch idle-gap linger, ms "
-                                "(default: 4)")
-    net_bench.add_argument("--workers", type=int, default=4,
-                           help="frontend verify workers (default: 4)")
-    net_bench.add_argument("--verify-heavy", action="store_true",
-                           help="switch the measured mix to 3 claimed-"
-                                "identity verifications per identification, "
-                                "exercising the frontend's batched signature "
-                                "verification over the wire (rows tagged "
-                                "'verify-heavy' in the trajectory)")
-    net_bench.add_argument("--chaos", action="store_true",
-                           help="run the fault-injection bench instead: "
-                                "primary + warm standby, wire faults "
-                                "(drop/truncate/delay) and batcher crashes "
-                                "injected, primary killed mid-phase; "
-                                "asserts zero lost and zero wrongly-"
-                                "answered requests (rows tagged 'chaos'; "
-                                "exclusive with --verify-heavy)")
-    net_bench.add_argument("--chaos-seed", type=int, default=0,
-                           help="seed for the deterministic fault "
-                                "schedule (default: 0)")
-    net_bench.add_argument("--pipeline", type=int, default=0,
-                           help="window for the single-connection "
-                                "pipelining shootout: a serial-client "
-                                "baseline phase, then N requests in "
-                                "flight on one pipelined connection "
-                                "(default: 0 = classic multi-client "
-                                "bench; exclusive with --chaos and "
-                                "--verify-heavy)")
-    net_bench.add_argument("--overload", action="store_true",
-                           help="run the overload bench instead: static "
-                                "and adaptive frontend legs over one "
-                                "engine, closed-loop baselines on each, "
-                                "then an open-loop phase offering "
-                                "--overload-factor times the sustainable "
-                                "rate with mixed deadline budgets; "
-                                "asserts zero wrongly-answered requests, "
-                                "in-deadline goodput >= 70% of baseline, "
-                                "and that every shed was provably expired "
-                                "or over-capacity (rows tagged 'overload'; "
-                                "exclusive with --chaos, --verify-heavy, "
-                                "and --pipeline)")
-    net_bench.add_argument("--overload-factor", type=float, default=3.0,
-                           help="offered-load multiple over the measured "
-                                "sustainable baseline in the overload "
-                                "phase (default: 3.0; accepted range "
-                                "1.5..4)")
-    net_bench.add_argument("--seed", type=int, default=0)
-    net_bench.add_argument("--json", default="BENCH_service.json",
-                           help="trajectory artifact path (empty string "
-                                "to skip writing)")
-    net_bench.set_defaults(handler=_cmd_net_bench)
-
     compact = subparsers.add_parser(
         "compact",
         help="rewrite a store dropping revoked/superseded sketch versions",
@@ -1000,9 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="sketch dimension n (default 64; "
                                       "smoke 16)")
     lifecycle_bench.add_argument("--seed", type=int, default=2017)
-    lifecycle_bench.add_argument("--json", default="BENCH_service.json",
-                                 help="trajectory artifact to append to "
-                                      "('' disables)")
     lifecycle_bench.set_defaults(handler=_cmd_lifecycle_bench)
 
     return parser

@@ -28,8 +28,8 @@ Selection:
 * ``REPRO_CRYPTO_BACKEND=python|gmpy2`` forces a backend at import time
   (forcing ``gmpy2`` when it is not importable raises immediately).
 * unset / ``auto`` picks ``gmpy2`` when importable, ``python`` otherwise.
-* :func:`set_backend` / :func:`use_backend` switch at runtime (tests, the
-  ``crypto-bench --backend both`` shootout).
+* :func:`set_backend` / :func:`use_backend` switch at runtime (tests,
+  and the gmpy2-over-python floor in ``benchmarks/test_bench_crypto.py``).
 """
 
 from __future__ import annotations

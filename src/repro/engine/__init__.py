@@ -24,9 +24,7 @@ answers it *at service scale*.  Layering (bottom-up):
   be *active* (the one identification searches), older ones stay
   *verify-only* until revoked, rotated-away ones are *superseded*.
   :func:`compact_store` garbage-collects a store directory, dropping
-  revoked/superseded rows and emitting a fresh typed journal base;
-* :mod:`repro.engine.bench` — the throughput harness behind
-  ``repro engine-bench``.
+  revoked/superseded rows and emitting a fresh typed journal base.
 
 Import discipline: this package imports :mod:`repro.core` and
 :mod:`repro.protocols.database`; protocol modules that want an engine
@@ -34,7 +32,6 @@ import it lazily (inside the constructor) to keep the package graph
 acyclic.
 """
 
-from repro.engine.bench import EngineBenchReport, make_workload, run_engine_bench
 from repro.engine.engine import (
     LATENCY_BUCKET_EDGES_US,
     EngineStats,
@@ -52,9 +49,6 @@ from repro.engine.sharded import ShardedSketchIndex
 from repro.engine.storage import LazyRecordFile, OpenedStore, open_store, write_store
 
 __all__ = [
-    "EngineBenchReport",
-    "make_workload",
-    "run_engine_bench",
     "LATENCY_BUCKET_EDGES_US",
     "EngineStats",
     "IdentificationEngine",

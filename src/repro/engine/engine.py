@@ -16,8 +16,8 @@ deployment needs:
   :mod:`repro.engine.storage`; a million-record store opens in O(1) and
   warms on demand;
 * counters — probes served, candidates per probe, and a latency
-  histogram, snapshotted by :meth:`stats` for dashboards and the
-  ``repro engine-bench`` CLI.
+  histogram, snapshotted by :meth:`stats` for dashboards and
+  ``repro simulate``.
 
 Records loaded from disk stay lazy: the engine materialises a record's
 bytes only when an identification hit (or an explicit lookup) needs it.

@@ -28,17 +28,16 @@ approach:
   one socket exactly as it drives an in-process one.  Server-side
   backpressure (``ErrorReply(code="overload")``) surfaces client-side
   as :class:`~repro.exceptions.ServiceOverloadError`, making the
-  service layer's admission control end-to-end;
-* :mod:`repro.net.bench` — the closed-loop multi-client TCP bench
-  behind ``repro net-bench`` (throughput, latency percentiles, wire
-  bytes per identification, and an overload probe that demonstrates
-  queue-full backpressure crossing the wire), appending to the
-  ``BENCH_service.json`` trajectory.
+  service layer's admission control end-to-end.
+
+The canonical benchmark (``bench/`` at the repository root) measures
+this stack serving over TCP; ``tests/net`` holds its failover, chaos and
+overload checks.
 
 Import discipline: **nothing below imports net** — protocols, engine,
 and service stay complete without a socket in sight.  Net imports
 protocols (messages, transport stats, the endpoint duck type) and is
-imported only by the CLI, benches, and tests.
+imported only by the CLI, the benchmark, and tests.
 """
 
 from repro.net.client import NetworkClient, RemoteEndpoint

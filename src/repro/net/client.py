@@ -154,7 +154,7 @@ class NetworkClient:
     server's own read-ahead window.  :meth:`request` is the blocking
     submit-wait-map round trip, so ``N`` threads sharing one client
     (e.g. via :class:`RemoteEndpoint` wrappers) drive ``min(N, window)``
-    requests in flight — the shape ``net-bench --pipeline`` measures.
+    requests in flight.
 
     Failures are connection-wide: any transport failure (a reply wait
     expiring, a reset, a torn or malformed frame) desynchronises the

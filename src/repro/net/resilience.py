@@ -27,9 +27,9 @@ layer that turns those types into behaviour:
   retry.  That is what makes "zero duplicated requests" hold under
   mid-enrollment failover: the ack may be lost, the record never is.
 
-The chaos bench and the failover tests drive this layer; `net-bench
---chaos` asserts zero lost and zero wrongly-answered requests through
-it while the fault harness kills the primary mid-workload.
+The failover tests drive this layer (``tests/net/test_failover.py``):
+under a seeded fault plan, with the primary killed mid-workload, they
+assert zero lost and zero wrongly-answered requests through it.
 """
 
 from __future__ import annotations

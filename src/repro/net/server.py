@@ -247,7 +247,6 @@ class NetworkServer:
         self._ready = threading.Event()
         self._startup_error: BaseException | None = None
         self._address: tuple[str, int] | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
         self._live_stats: list[ConnectionStats] = []
         self._stats_lock = threading.Lock()
         self._open_connections = 0
@@ -386,20 +385,36 @@ class NetworkServer:
         try:
             await self._stop.wait()
         finally:
+            # Stop accepting but keep the server open until the end: a
+            # connection accepted just before stop still attaches its
+            # transport, which a closed asyncio server refuses (and the
+            # accepted socket then leaks, open, past the loop).
+            loop = asyncio.get_running_loop()
+            for sock in server.sockets:
+                loop.remove_reader(sock.fileno())
+            # Cancel every task on this private loop (connections being
+            # accepted or served, their frame reads and handler
+            # dispatches), so none outlives the loop.
+            me = asyncio.current_task()
+            while True:
+                tasks = asyncio.all_tasks() - {me}
+                # One loop pass first: each task in ``tasks`` takes its
+                # first step (one cancelled before that never runs its
+                # cleanup, so its socket would stay open), and callbacks
+                # already scheduled, such as a closed transport's
+                # teardown, run.
+                await asyncio.sleep(0)
+                if not tasks and asyncio.all_tasks() == {me}:
+                    break
+                for task in tasks:
+                    task.cancel()
+                await asyncio.gather(*tasks, return_exceptions=True)
             server.close()
             await server.wait_closed()
-            for task in list(self._conn_tasks):
-                task.cancel()
-            if self._conn_tasks:
-                await asyncio.gather(*self._conn_tasks,
-                                     return_exceptions=True)
 
     async def _on_connection(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
         """Track, serve, and account one client connection."""
-        task = asyncio.current_task()
-        assert task is not None
-        self._conn_tasks.add(task)
         peername = writer.get_extra_info("peername")
         stats = ConnectionStats(
             peer=f"{peername[0]}:{peername[1]}" if peername else "?")
@@ -432,7 +447,6 @@ class NetworkServer:
                 self._clean_closes.inc()
             else:
                 self._dropped.inc()
-            self._conn_tasks.discard(task)
             with self._stats_lock:
                 self._open_connections -= 1
                 self._live_stats = [s for s in self._live_stats

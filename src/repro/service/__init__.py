@@ -18,12 +18,9 @@ verify-table cache — under real concurrency:
   serialised on the batcher thread, and the remaining challenge ops fan
   out to a worker pool.  The frontend exposes the
   :class:`~repro.protocols.server.AuthenticationServer`
-  handler surface, so runners and simulators drive either one unchanged;
-* :mod:`repro.service.bench` — the closed-loop multi-client load
-  generator behind ``repro service-bench`` (serial loop vs micro-batched
-  frontend on the same engine, throughput + latency percentiles for
-  both the identification and the batched-verification legs,
-  ``BENCH_service.json`` trajectory).
+  handler surface, so runners and simulators drive either one unchanged.
+  ``benchmarks/test_bench_service.py`` holds its speedup floor over the
+  serial loop; ``bench/`` measures it serving over TCP.
 
 Import discipline (enforced by the package graph, relied on by tests):
 **protocols may not import service** — the protocol layer stays complete
@@ -35,13 +32,9 @@ are lazy, call-time imports in convenience constructors
 reaches the engine.
 """
 
-from repro.service.bench import ServiceBenchReport, run_service_bench, write_trajectory
 from repro.service.frontend import FrontendStats, ServiceFrontend
 
 __all__ = [
     "FrontendStats",
     "ServiceFrontend",
-    "ServiceBenchReport",
-    "run_service_bench",
-    "write_trajectory",
 ]

@@ -36,7 +36,7 @@ pipeline and waiting for its result.  That duck-type equivalence is the
 point: :mod:`repro.protocols.runners` and the workload simulator drive a
 frontend exactly as they drive a bare server, so the serial and
 concurrent paths share one protocol code path and can be compared
-apples-to-apples (``repro service-bench`` does exactly that).
+apples-to-apples (``benchmarks/test_bench_service.py`` does exactly that).
 
 The O(N) baseline protocol (Fig. 2) is deliberately *not* queued: it
 ships the whole database and exists for comparison benchmarks, not

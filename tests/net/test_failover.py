@@ -35,6 +35,16 @@ from repro.service.frontend import ServiceFrontend
 
 N_USERS = 4
 
+#: A seeded fault plan: reply frames dropped, truncated and delayed on
+#: the wire, and the frontend batcher crashing now and then.
+CHAOS_PLAN = [
+    {"point": "net.server.send", "style": "drop", "p": 0.01},
+    {"point": "net.server.send", "style": "truncate", "p": 0.02},
+    {"point": "net.server.send", "style": "delay", "p": 0.05,
+     "delay_s": 0.01},
+    {"point": "frontend.batcher", "style": "raise", "p": 0.01},
+]
+
 
 @pytest.fixture
 def net_params() -> SystemParams:
@@ -175,9 +185,11 @@ class TestTransientMapping:
 
 
 class TestFailover:
+    @pytest.mark.parametrize("plan", [None, CHAOS_PLAN],
+                             ids=["no-faults", "chaos"])
     def test_primary_kill_mid_workload_zero_loss(self, net_params,
                                                  fast_scheme, population,
-                                                 tmp_path, watchdog):
+                                                 tmp_path, watchdog, plan):
         primary_engine = IdentificationEngine(
             net_params, shards=2, journal=journal_path(tmp_path / "primary"))
         standby_engine = IdentificationEngine(
@@ -222,8 +234,12 @@ class TestFailover:
             health = follower.health_extra()
             assert health["follower"] and health["follower_lag"] == 0
 
-            n_requests = 12
-            kill_after = 4
+            if plan is not None:
+                faults.install(plan, seed=0)
+            # Under the fault plan, enough requests that wire faults
+            # land on workload replies, not only on replication polls.
+            n_requests = 12 if plan is None else 48
+            kill_after = n_requests // 3
             done = 0
             lock = threading.Lock()
             outcomes = []
@@ -259,6 +275,16 @@ class TestFailover:
             for expected_id, outcome in outcomes:
                 assert outcome.identified
                 assert outcome.user_id == expected_id
+            if plan is not None:
+                assert faults.fired() >= 1, "the fault plan never fired"
+
+            # The standby answers every pool user exactly as the primary.
+            for user in range(N_USERS):
+                probe = device.probe_sketch(
+                    population.genuine_reading(user)).sketch
+                assert [m.user_id for m in
+                        standby_engine.find_by_sketch(probe)] == \
+                    [m.user_id for m in primary_engine.find_by_sketch(probe)]
         finally:
             if follower is not None:
                 follower.close()

@@ -434,6 +434,22 @@ class TestAccountingAndLifecycle:
                 population.genuine_reading(0)))
         client.close()
 
+    def test_connection_open_at_close_is_hung_up_promptly(
+            self, net_params, fast_scheme, population, watchdog):
+        """A client connected just before close() sees EOF or a reset
+        within 2 s, instead of waiting out its own read timeout while
+        its connection task outlives the server's event loop."""
+        _, server, _ = _build_stack(
+            net_params, fast_scheme, population, b"hangup")
+        net = NetworkServer(server)
+        host, port = net.start()
+        with socket.create_connection((host, port), timeout=2.0) as sock:
+            net.close()
+            try:
+                assert sock.recv(1) == b""
+            except ConnectionResetError:
+                pass  # a reset is as prompt an answer as EOF
+
     def test_close_after_failed_start_reraises_bind_error(self, net_params,
                                                           fast_scheme,
                                                           watchdog):

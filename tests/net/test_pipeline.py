@@ -96,8 +96,8 @@ class TestPipelinedParity:
                                                     fast_scheme, population,
                                                     watchdog):
         """N driver threads over ONE pipelined client (each with its own
-        endpoint wrapper) all identify correctly — the single-process
-        saturation shape of ``net-bench --pipeline``."""
+        endpoint wrapper) all identify correctly — one process
+        saturating one socket."""
         _, server, _ = _build_stack(
             net_params, fast_scheme, population, b"threads")
         frontend = ServiceFrontend(server, workers=2, max_batch=8)
