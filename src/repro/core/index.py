@@ -15,11 +15,11 @@ Two search structures are provided:
   chunk.  For independent templates a random record survives one
   coordinate with probability ``≈ (2t+1)/ka`` (0.5 at paper parameters),
   so the expected number of *matrix elements* touched is ``N * O(1)`` —
-  a few nanoseconds per record, 4-6 orders of magnitude below the
-  signature that follows.  This is the honest implementation of the
-  paper's "constant": the scan is asymptotically linear but its constant
-  is negligible at any realistic database size (quantified in
-  ``benchmarks/test_bench_index_ablation.py``).
+  ~20 ns per record for a batch of 1-3 probes at paper parameters,
+  orders of magnitude below the signature that follows.  This is the
+  honest implementation of the paper's "constant": the scan is
+  asymptotically linear but its constant is negligible at any realistic
+  database size (quantified in ``benchmarks/test_bench_index_ablation.py``).
 
 * :class:`PrefixBucketIndex` — a sub-linear candidate index.  Each of the
   first ``depth`` coordinates is quantised into ring buckets of width
@@ -42,7 +42,10 @@ This module also hosts the **batch kernels** the scale-out engine
   up to 64; for every coordinate a small lookup table maps each of the
   ``ka`` ring positions to a 64-bit mask of the probes it satisfies, so
   one gather + one AND per matrix cell tests a cell against *all* probes
-  in the group at once.  Surviving rows are compacted after every
+  in the group at once.  The tables (:func:`group_luts`) are built once
+  per batch, not per shard, and indexed with the raw movement: it lies
+  in ``[-ka/2, ka/2]``, where numpy's negative index ``v`` reads entry
+  ``ka + v = v % ka``.  Surviving rows are compacted after every
   coordinate chunk (the same early-abort pruning the scan uses), and the
   short tail is verified per probe.  This amortises the scan across the
   batch: ~``B``-fold less element work than looping :meth:`search`.
@@ -54,8 +57,6 @@ This module also hosts the **batch kernels** the scale-out engine
 
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
 
 from repro.core.matching import ring_distance_ka
@@ -63,31 +64,38 @@ from repro.core.numberline import IntArray
 from repro.core.params import SystemParams
 from repro.exceptions import ParameterError
 
-#: Absolute cap on the ring circumference for the bitmask-LUT path; above
-#: it the per-coordinate tables alone are unreasonably large.
+#: The bitmask-LUT path needs a ring no wider than ``_LUT_RING_LIMIT``
+#: (beyond it the tables alone are unreasonably large) nor than
+#: ``_LUT_ROWS_FACTOR`` times the rows scanned (an ``O(ka)`` table row per
+#: coordinate must stay small next to the ``O(rows)`` work it saves).
 _LUT_RING_LIMIT = 1 << 20
-
-#: The LUT path also only pays when table construction — ``O(ka)`` work
-#: per coordinate — is small next to the ``O(rows)`` scan work it saves
-#: per coordinate; rings wider than this multiple of the row count fall
-#: back to per-probe scans (identical results, no LUT build).
 _LUT_ROWS_FACTOR = 8
 
+#: Once a scan's candidate set shrinks below this, the remaining
+#: coordinates are verified in a single operation — iterating tiny chunks
+#: would pay numpy dispatch overhead per chunk.
+_FINISH_THRESHOLD = 64
 
-def _as_movement_vector(params: SystemParams, vector: IntArray,
-                        what: str) -> np.ndarray:
-    """Validate one movement vector -> contiguous ``(n,)`` int32 array."""
+#: Candidate count at which :func:`batch_match_rows` leaves the LUT phase.
+PAIR_THRESHOLD = 2048
+
+
+def _as_sketch_vector(params: SystemParams, vector: IntArray,
+                      what: str) -> np.ndarray:
+    """Shape-check one sketch vector -> ``(n,)`` int64 array."""
     arr = np.asarray(vector, dtype=np.int64)
     if arr.shape != (params.n,):
         raise ParameterError(
             f"{what} must have shape ({params.n},), got {arr.shape}"
         )
-    half = params.interval_width // 2
-    if arr.size and int(np.max(np.abs(arr))) > half:
-        raise ParameterError(
-            f"{what} movements must lie in [-{half}, {half}]"
-        )
-    return arr.astype(np.int32)
+    return arr
+
+
+def _as_movement_vector(params: SystemParams, vector: IntArray,
+                        what: str) -> np.ndarray:
+    """Validate one movement vector -> contiguous ``(n,)`` int32 array."""
+    arr = _as_sketch_vector(params, vector, what)
+    return _as_movement_matrix(params, arr[None], what)[0]
 
 
 def _as_sketch_matrix(params: SystemParams, matrix: IntArray,
@@ -125,8 +133,7 @@ def _as_movement_matrix(params: SystemParams, matrix: IntArray,
 
 
 def _scan_survivors(matrix: np.ndarray, probe: np.ndarray, ka: int, t: int,
-                    chunk: int, finish_threshold: int = 64,
-                    survivors: np.ndarray | None = None,
+                    chunk: int, survivors: np.ndarray | None = None,
                     start: int = 0) -> np.ndarray:
     """Chunked early-abort scan; returns surviving row indices (sorted).
 
@@ -139,7 +146,7 @@ def _scan_survivors(matrix: np.ndarray, probe: np.ndarray, ka: int, t: int,
     ka32 = np.int32(ka)
     t32 = np.int32(t)
     while start < n:
-        few = survivors is not None and survivors.size <= finish_threshold
+        few = survivors is not None and survivors.size <= _FINISH_THRESHOLD
         stop = n if few else min(start + chunk, n)
         if survivors is None:
             block = matrix[:, start:stop]
@@ -160,28 +167,39 @@ def _scan_survivors(matrix: np.ndarray, probe: np.ndarray, ka: int, t: int,
     return survivors
 
 
-def _group_masks(group: np.ndarray, columns: range, ka: int,
-                 t: int) -> list[np.ndarray]:
-    """Per-coordinate bitmask LUTs for one probe group.
+def group_luts(probes: np.ndarray, ka: int, t: int) -> list[np.ndarray]:
+    """Bitmask LUTs of a probe batch: one ``(n, ka)`` uint64 table per 64.
 
-    For coordinate ``c`` the returned ``(ka,)`` uint64 array maps every
-    ring position to the set of probes (bit ``b`` = probe ``b`` of the
-    group) whose condition it satisfies.
+    Row ``c`` maps each ring position to the probes (bit ``b``) within
+    ring distance ``t`` on coordinate ``c``, the interval ``[p-t, p+t]``:
+    bits toggled at both ends on a doubled axis, prefix-XORed, and the
+    halves OR-ed to fold the wrap, ``O(n * ka)`` per group.
     """
-    positions = np.arange(ka, dtype=np.int64)
-    bits = np.uint64(1) << np.arange(group.shape[0], dtype=np.uint64)
-    luts = []
-    for c in columns:
-        centre = group[:, c].astype(np.int64) % ka          # (Bg,)
-        diff = np.abs(positions[:, None] - centre[None, :])  # (ka, Bg)
-        ok = np.minimum(diff, ka - diff) <= t
-        luts.append((ok * bits[None, :]).sum(axis=1, dtype=np.uint64))
-    return luts
+    span = min(2 * t + 1, ka)
+    cols = np.arange(probes.shape[1])[:, None]
+    tables = []
+    for g0 in range(0, probes.shape[0], 64):
+        group = probes[g0:g0 + 64]
+        bits = np.uint64(1) << np.arange(group.shape[0], dtype=np.uint64)
+        low = (group.T.astype(np.int64) - t) % ka            # (n, Bg)
+        edges = np.zeros((cols.size, 2 * ka), dtype=np.uint64)
+        np.bitwise_xor.at(edges, (cols, low), bits)
+        np.bitwise_xor.at(edges, (cols, low + span), bits)
+        spans = np.bitwise_xor.accumulate(edges, axis=1)
+        tables.append(spans[:, :ka] | spans[:, ka:])
+    return tables
+
+
+def uses_luts(n_rows: int, ka: int,
+              pair_threshold: int = PAIR_THRESHOLD) -> bool:
+    """Whether :func:`batch_match_rows` enters its LUT phase on ``n_rows``."""
+    return (n_rows > pair_threshold and ka <= _LUT_RING_LIMIT
+            and ka <= _LUT_ROWS_FACTOR * n_rows)
 
 
 def batch_match_rows(matrix: np.ndarray, probes: np.ndarray, ka: int, t: int,
-                     chunk: int = 8,
-                     pair_threshold: int = 2048) -> list[np.ndarray]:
+                     chunk: int = 8, pair_threshold: int = PAIR_THRESHOLD,
+                     luts: list | None = None) -> list[np.ndarray]:
     """Row ids matching each probe: the engine's vectorised batch kernel.
 
     ``matrix`` is ``(N, n)`` int32 and ``probes`` ``(B, n)``, both with
@@ -190,50 +208,46 @@ def batch_match_rows(matrix: np.ndarray, probes: np.ndarray, ka: int, t: int,
     distance ``t`` of the probe on every coordinate.  Equivalent to —
     and property-tested against — ``B`` independent ``search`` calls.
 
-    Probes are processed in uint64 bitmask groups (see module docstring);
-    once the compacted candidate set drops below ``pair_threshold`` rows
-    the kernel switches to per-probe tail verification, which also serves
-    as the fallback when ``ka`` exceeds the LUT budget (LUT build is
-    ``O(ka)`` per coordinate, so very wide rings over few rows would pay
-    more building tables than scanning).
+    ``luts`` (the :func:`group_luts` of ``probes``) are built here unless
+    passed in, as one sharded batch does.  They are indexed with the raw
+    movement: numpy reads a negative ``v >= -ka/2`` as ``ka + v``, i.e.
+    ``v % ka``, so no reduction pass runs.  While more than
+    ``pair_threshold`` rows survive, each coordinate chunk is copied once
+    as a block and survivors compacted; per-probe tail verification does
+    the rest, or all of it when :func:`uses_luts` says no.
     """
-    n_rows = matrix.shape[0]
     n_cols = matrix.shape[1]
     results: list[np.ndarray] = []
-    use_lut = ka <= _LUT_RING_LIMIT and ka <= _LUT_ROWS_FACTOR * n_rows
+    use_lut = uses_luts(matrix.shape[0], ka, pair_threshold)
+    if use_lut and luts is None:
+        luts = group_luts(probes, ka, t)
     for g0 in range(0, probes.shape[0], 64):
         group = probes[g0:g0 + 64]
-        width = group.shape[0]
-        rows = np.arange(n_rows, dtype=np.int64)
-        full = (np.uint64(1) << np.uint64(width)) - np.uint64(1) \
-            if width < 64 else ~np.uint64(0)
-        acc = np.full(n_rows, full, dtype=np.uint64)
+        rows: slice | np.ndarray = slice(None)  # every row, no index array
+        acc = None
         start = 0
-        while use_lut and start < n_cols and rows.size > pair_threshold:
+        while use_lut and start < n_cols and (
+                acc is None or acc.size > pair_threshold):
+            lut = luts[g0 // 64]
             stop = min(start + chunk, n_cols)
-            luts = _group_masks(group, range(start, stop), ka, t)
-            for c, lut in zip(range(start, stop), luts):
-                acc &= lut[matrix[rows, c] % ka]
-            keep = acc != 0
-            rows = rows[keep]
+            # One pass over the chunk's cache lines, not one per column.
+            block = np.ascontiguousarray(matrix[rows, start:stop])
+            for c in range(start, stop):
+                cell = lut[c][block[:, c - start]]
+                acc = cell if acc is None else np.bitwise_and(acc, cell,
+                                                              out=acc)
+            keep = np.flatnonzero(acc)
+            rows = keep if start == 0 else rows[keep]
             acc = acc[keep]
             start = stop
-        for b in range(width):
-            if start == 0:
-                # LUT pass never ran (small N or wide ring): scan from
-                # scratch with survivors=None so the first chunks slice
-                # views instead of fancy-indexing an all-rows array.
-                alive = _scan_survivors(
-                    matrix, group[b].astype(np.int32), ka, t, chunk,
-                )
-            else:
-                alive = rows[(acc >> np.uint64(b)) & np.uint64(1) == 1]
-                if start < n_cols:
-                    alive = _scan_survivors(
-                        matrix, group[b].astype(np.int32), ka, t, chunk,
-                        survivors=alive, start=start,
-                    )
-            results.append(np.sort(alive))
+        for b in range(group.shape[0]):
+            # Resume from the LUT survivors, or scan from scratch (views).
+            alive = rows[(acc >> np.uint64(b)) & np.uint64(1) == 1] \
+                if start else None
+            results.append(np.sort(_scan_survivors(
+                matrix, group[b].astype(np.int32), ka, t, chunk,
+                survivors=alive, start=start,
+            )))
     return results
 
 
@@ -261,9 +275,6 @@ class VectorizedScanIndex:
     def __len__(self) -> int:
         return self._count
 
-    def _check_movements(self, vector: IntArray, what: str) -> np.ndarray:
-        return _as_movement_vector(self.params, vector, what)
-
     def _reserve(self, extra: int) -> None:
         """Grow the backing matrix so ``extra`` more rows fit."""
         needed = self._count + extra
@@ -278,7 +289,7 @@ class VectorizedScanIndex:
 
     def add(self, sketch: IntArray) -> int:
         """Insert a sketch; returns its row id (enrollment order)."""
-        sketch = self._check_movements(sketch, "sketch")
+        sketch = _as_movement_vector(self.params, sketch, "sketch")
         self._reserve(1)
         self._matrix[self._count] = sketch
         self._count += 1
@@ -297,20 +308,15 @@ class VectorizedScanIndex:
         self._count += block.shape[0]
         return list(range(first, self._count))
 
-    #: Once the candidate set shrinks below this, the remaining
-    #: coordinates are verified in a single operation — iterating tiny
-    #: chunks would pay numpy dispatch overhead per chunk.
-    _FINISH_THRESHOLD = 64
-
     def search(self, probe: IntArray) -> list[int]:
         """Row ids of all enrolled sketches matching ``probe``."""
-        probe = self._check_movements(probe, "probe")
+        probe = _as_movement_vector(self.params, probe, "probe")
         if self._count == 0:
             return []
         survivors = _scan_survivors(
             self._matrix[: self._count], probe,
             self.params.interval_width, self.params.t,
-            self.chunk, self._FINISH_THRESHOLD,
+            self.chunk,
         )
         return survivors.tolist()
 
@@ -361,11 +367,7 @@ class PrefixBucketIndex:
 
     def add(self, sketch: IntArray) -> int:
         """Insert a sketch; returns its row id (enrollment order)."""
-        sketch = np.asarray(sketch, dtype=np.int64)
-        if sketch.shape != (self.params.n,):
-            raise ParameterError(
-                f"sketch must have shape ({self.params.n},), got {sketch.shape}"
-            )
+        sketch = _as_sketch_vector(self.params, sketch, "sketch")
         row_id = len(self._sketches)
         self._sketches.append(sketch.astype(np.int32))
         for d in range(self.depth):
@@ -403,11 +405,7 @@ class PrefixBucketIndex:
 
     def search(self, probe: IntArray) -> list[int]:
         """Candidate retrieval + full verification; returns matching row ids."""
-        probe = np.asarray(probe, dtype=np.int64)
-        if probe.shape != (self.params.n,):
-            raise ParameterError(
-                f"probe must have shape ({self.params.n},), got {probe.shape}"
-            )
+        probe = _as_sketch_vector(self.params, probe, "probe")
         if not self._sketches:
             return []
 
@@ -447,11 +445,7 @@ class NaiveLoopIndex:
 
     def add(self, sketch: IntArray) -> int:
         """Insert a sketch; returns its row id (enrollment order)."""
-        sketch = np.asarray(sketch, dtype=np.int64)
-        if sketch.shape != (self.params.n,):
-            raise ParameterError(
-                f"sketch must have shape ({self.params.n},), got {sketch.shape}"
-            )
+        sketch = _as_sketch_vector(self.params, sketch, "sketch")
         self._sketches.append(sketch)
         return len(self._sketches) - 1
 
@@ -464,11 +458,7 @@ class NaiveLoopIndex:
 
     def search(self, probe: IntArray) -> list[int]:
         """Row ids of all enrolled sketches matching ``probe``."""
-        probe = np.asarray(probe, dtype=np.int64)
-        if probe.shape != (self.params.n,):
-            raise ParameterError(
-                f"probe must have shape ({self.params.n},), got {probe.shape}"
-            )
+        probe = _as_sketch_vector(self.params, probe, "probe")
         probe_list = [int(p) for p in probe]
         ka = self.params.interval_width
         t = self.params.t

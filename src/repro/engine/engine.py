@@ -69,9 +69,10 @@ from repro.exceptions import (
 )
 from repro.protocols.database import UserRecord
 
-#: Upper edges (microseconds) of the latency histogram buckets; the last
-#: bucket is open-ended.
-LATENCY_BUCKET_EDGES_US = (100, 1_000, 10_000, 100_000)
+#: Upper edges (microseconds) of the latency histogram buckets, 1-2-5 per
+#: decade so a 2x scan change moves buckets; the last is open-ended.
+LATENCY_BUCKET_EDGES_US = (50, 100, 200, 500, 1_000, 2_000, 5_000, 10_000,
+                           20_000, 50_000, 100_000, 200_000)
 
 _BUCKET_LABELS = tuple(
     f"<={edge}us" for edge in LATENCY_BUCKET_EDGES_US
@@ -85,8 +86,9 @@ _BUCKET_EDGES_S = tuple(edge / 1e6 for edge in LATENCY_BUCKET_EDGES_US)
 class EngineStats:
     """Snapshot of an engine's lifetime counters.
 
-    ``latency_buckets`` maps histogram labels (``<=100us`` …) to counts
-    of *search calls* (a batch of B probes is one call); ``cold_opened``
+    ``latency_buckets`` maps histogram labels (``<=50us``, ``<=100us``,
+    ``<=200us`` … ``>200000us``, 1-2-5 per decade) to counts of *search
+    calls* (a batch of B probes is one call); ``cold_opened``
     marks engines restored from an mmap store, ``warmed`` whether
     :meth:`IdentificationEngine.warm` has pre-touched the pages since.
     """
@@ -228,8 +230,8 @@ class IdentificationEngine:
             "repro_engine_enrolled",
             "Records currently enrolled.", labels=instance,
             owner=self, fn=len)
-        #: Search-call latency distribution, on the engine's historical
-        #: microsecond bucket edges (100us/1ms/10ms/100ms).
+        #: Search-call latency distribution on the 1-2-5 microsecond
+        #: bucket edges of ``LATENCY_BUCKET_EDGES_US`` (50us to 200ms).
         self.scan_seconds = reg.histogram(
             "repro_identify_scan_seconds",
             "Sketch-search latency per engine search call.",

@@ -37,6 +37,8 @@ from repro.core.index import (
     _as_movement_vector,
     _scan_survivors,
     batch_match_rows,
+    group_luts,
+    uses_luts,
 )
 from repro.core.numberline import IntArray
 from repro.core.params import SystemParams
@@ -92,25 +94,20 @@ class _Shard:
 
     def _reserve(self, extra: int) -> None:
         needed = self._count + extra
-        if self._frozen:
+        if self._frozen:  # promote a memmap to an exact-fit RAM copy
             capacity = max(needed, _INITIAL_SHARD_CAPACITY)
-            matrix = np.empty((capacity, self.params.n), dtype=np.int32)
-            matrix[: self._count] = self._matrix[: self._count]
-            row_ids = np.empty(capacity, dtype=np.int64)
-            row_ids[: self._count] = self._row_ids[: self._count]
-            self._matrix, self._row_ids = matrix, row_ids
-            self._frozen = False
+        elif needed <= self._matrix.shape[0]:
             return
-        if needed <= self._matrix.shape[0]:
-            return
-        capacity = max(self._matrix.shape[0], 1)
-        while capacity < needed:
-            capacity *= 2
+        else:
+            capacity = max(self._matrix.shape[0], 1)
+            while capacity < needed:
+                capacity *= 2
         matrix = np.empty((capacity, self.params.n), dtype=np.int32)
         matrix[: self._count] = self._matrix[: self._count]
         row_ids = np.empty(capacity, dtype=np.int64)
         row_ids[: self._count] = self._row_ids[: self._count]
         self._matrix, self._row_ids = matrix, row_ids
+        self._frozen = False
 
     def append_block(self, block: np.ndarray, row_ids: np.ndarray) -> None:
         """Append validated rows (int32) with their global ids."""
@@ -318,18 +315,22 @@ class ShardedSketchIndex:
         """Global row ids matching each row of a ``(B, n)`` probe matrix.
 
         Every shard evaluates the whole batch in one
-        :func:`~repro.core.index.batch_match_rows` pass; per-probe hits
-        are merged across shards.  Equivalent to ``B`` :meth:`search`
-        calls (the engine's parity tests assert this exactly).
+        :func:`~repro.core.index.batch_match_rows` pass over one read-only
+        set of lookup tables built for the batch; per-probe hits are merged
+        across shards.  Equivalent to ``B`` :meth:`search` calls (the
+        engine's parity tests assert this exactly).
         """
         probes = _as_movement_matrix(self.params, probes, "probes")
         n_probes = probes.shape[0]
         if n_probes == 0:
             return []
         ka, t = self.params.interval_width, self.params.t
+        luts = group_luts(probes, ka, t) if any(
+            uses_luts(len(shard), ka) for shard in self._shards) else None
 
         def scan(shard: _Shard) -> list[np.ndarray]:
-            local = batch_match_rows(shard.matrix, probes, ka, t, self.chunk)
+            local = batch_match_rows(shard.matrix, probes, ka, t, self.chunk,
+                                     luts=luts)
             return [shard.row_ids[rows] for rows in local]
 
         per_shard = self._map_shards(scan)

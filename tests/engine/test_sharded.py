@@ -5,15 +5,22 @@ performance moves: every search mode returns *exactly* the match sets of
 the naive per-record loop, for any shard count.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import index as index_module
+from repro.core.extractor import HelperData
 from repro.core.index import NaiveLoopIndex, VectorizedScanIndex
 from repro.core.params import SystemParams
+from repro.engine import IdentificationEngine
+from repro.engine import sharded as sharded_module
 from repro.engine.sharded import ShardedSketchIndex
 from repro.exceptions import ParameterError
+from repro.protocols.database import UserRecord
 
 SHARD_COUNTS = [1, 2, 7]
 
@@ -173,3 +180,136 @@ class TestBatchKernelAgreement:
         expected = [flat.search(probe) for probe in probes]
         assert index.search_batch(probes) == expected
         assert flat.search_batch(probes) == expected
+
+
+def _count_lut_builds(monkeypatch) -> list:
+    """Route every LUT build through a counter; returns the call log."""
+    calls = []
+    build = index_module.group_luts
+
+    def counted(probes, ka, t):
+        calls.append(probes.shape[0])
+        return build(probes, ka, t)
+
+    monkeypatch.setattr(index_module, "group_luts", counted)
+    monkeypatch.setattr(sharded_module, "group_luts", counted)
+    return calls
+
+
+class TestLutsPerBatch:
+    def test_tables_built_once_per_batch_not_per_shard(self, monkeypatch):
+        """Four shards that each enter the LUT phase share one build."""
+        rows_per_shard = index_module.PAIR_THRESHOLD + 500
+        enrolled, probes = _random_population(SMALL, 4 * rows_per_shard, 9)
+        index = ShardedSketchIndex(SMALL, shards=4, chunk=2)
+        index.add_many(enrolled)
+        assert min(index.shard_sizes()) > index_module.PAIR_THRESHOLD
+        flat = VectorizedScanIndex(SMALL)
+        flat.add_many(enrolled)
+        expected = [flat.search(probe) for probe in probes]
+        calls = _count_lut_builds(monkeypatch)
+        assert index.search_batch(probes) == expected
+        assert calls == [len(probes)]
+
+    def test_small_shards_build_no_tables(self, monkeypatch):
+        """Below the LUT gate (the identify-1k regime) nothing is built."""
+        enrolled, probes = _random_population(SMALL, 1000, 4)
+        index = ShardedSketchIndex(SMALL, shards=4)
+        index.add_many(enrolled)
+        calls = _count_lut_builds(monkeypatch)
+        index.search_batch(probes)
+        assert calls == []
+
+
+def _wrap_edge_population(params, seed):
+    """Probes on or next to +-ka/2 and 0, with rows at ring distance
+    exactly t (must match) and t+1 on one coordinate (must not) across
+    the movement wrap at +-ka/2 and the LUT wrap at ring position 0.
+
+    Returns ``(rows, probes, near, far)``; ``near[b]``/``far[b]`` are the
+    row ids built to match/miss probe ``b``.
+    """
+    ka, t, n = params.interval_width, params.t, params.n
+    half = ka // 2
+    rng = np.random.default_rng(seed)
+    probes = rng.choice([-half, half, 1 - half, half - 1, -1, 0, 1],
+                        size=(6, n))
+    rows, near, far = [], [], []
+    for probe in probes:
+        signs = rng.choice([-1, 1], size=(4, n))
+        matches = probe + signs * t
+        misses = matches.copy()
+        which, cols = np.arange(4), rng.integers(0, n, 4)
+        misses[which, cols] += signs[which, cols]   # one coordinate at t+1
+        near.append(range(len(rows), len(rows) + 5))
+        rows.extend([probe, *matches])
+        far.append(range(len(rows), len(rows) + 4))
+        rows.extend(misses)
+    rows = (np.array(rows) + half) % ka - half     # back into [-ka/2, ka/2)
+    flip = (rows == -half) & (rng.random(rows.shape) < 0.5)
+    rows[flip] = half                              # the other name of -ka/2
+    return rows, probes, near, far
+
+
+@pytest.fixture
+def pure_lut(monkeypatch):
+    """Every batch scan stays in the LUT phase to the last coordinate
+    (``pair_threshold=0``); returns the LUT build log."""
+    kernel = partial(index_module.batch_match_rows, pair_threshold=0)
+    monkeypatch.setattr(index_module, "batch_match_rows", kernel)
+    monkeypatch.setattr(sharded_module, "batch_match_rows", kernel)
+    monkeypatch.setattr(sharded_module, "uses_luts",
+                        partial(index_module.uses_luts, pair_threshold=0))
+    return _count_lut_builds(monkeypatch)
+
+
+class TestModuloFreeGather:
+    """Raw negative movements index the LUTs exactly as ``v % ka`` would."""
+
+    @pytest.fixture
+    def population(self):
+        rows, probes, near, far = _wrap_edge_population(SMALL, seed=5)
+        naive = NaiveLoopIndex(SMALL)
+        naive.add_many(rows)
+        expected = [naive.search(probe) for probe in probes]
+        for hits, built_near, built_far in zip(expected, near, far):
+            assert set(built_near) <= set(hits)
+            assert not set(built_far) & set(hits)
+        return rows, probes, expected
+
+    def test_flat_index(self, population, pure_lut):
+        rows, probes, expected = population
+        index = VectorizedScanIndex(SMALL)
+        index.add_many(rows)
+        assert index.search_batch(probes) == expected
+        assert pure_lut
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    @pytest.mark.parametrize("shards", [1, 3, 4])
+    def test_sharded_index(self, population, pure_lut, shards, workers):
+        rows, probes, expected = population
+        index = ShardedSketchIndex(SMALL, shards=shards, workers=workers)
+        index.add_many(rows)
+        try:
+            assert index.search_batch(probes) == expected
+        finally:
+            index.close()
+        assert pure_lut == [len(probes)]
+
+    def test_engine_opened_from_store(self, population, pure_lut, tmp_path):
+        rows, probes, expected = population
+        engine = IdentificationEngine(SMALL, shards=4)
+        engine.add_many([
+            UserRecord(f"edge-{i}", b"", HelperData(
+                movements=row, tag=b"", seed=b"").to_bytes())
+            for i, row in enumerate(rows)])
+        engine.save(tmp_path / "store")
+        engine.close()
+        opened = IdentificationEngine.open(tmp_path / "store")
+        try:
+            matrices = [m for m, _ in opened._index.shard_parts()]
+            assert not any(m.flags.writeable for m in matrices)
+            assert opened.search_batch(probes) == expected
+        finally:
+            opened.close()
+        assert pure_lut == [len(probes)]
