@@ -121,15 +121,19 @@ def _as_movement_matrix(params: SystemParams, matrix: IntArray,
     """Validate a stack of movement vectors -> ``(B, n)`` int32 array.
 
     Shape rules of :func:`_as_sketch_matrix` plus the scan indexes'
-    ``[-ka/2, ka/2]`` range invariant.
+    ``[-ka/2, ka/2]`` range invariant.  An int32 input is checked in
+    place and returned without a copy.  The range test compares the
+    extremes, not ``abs``: ``abs(-2**63)`` is still negative.
     """
-    arr = _as_sketch_matrix(params, matrix, what)
+    arr = np.asarray(matrix)
+    if arr.dtype != np.int32 or arr.ndim != 2 or arr.shape[1] != params.n:
+        arr = _as_sketch_matrix(params, arr, what)
     half = params.interval_width // 2
-    if arr.size and int(np.max(np.abs(arr))) > half:
+    if arr.size and (int(arr.min()) < -half or int(arr.max()) > half):
         raise ParameterError(
             f"{what} movements must lie in [-{half}, {half}]"
         )
-    return arr.astype(np.int32)
+    return arr.astype(np.int32, copy=False)
 
 
 def _scan_survivors(matrix: np.ndarray, probe: np.ndarray, ka: int, t: int,

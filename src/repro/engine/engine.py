@@ -34,6 +34,7 @@ from typing import Iterator
 import numpy as np
 
 from repro import faults, obs
+from repro.core.index import _as_movement_matrix
 from repro.core.params import SystemParams
 from repro.crypto.signatures import VerifyTableCache
 from repro.engine.journal import EnrollmentJournal, journal_path
@@ -80,6 +81,34 @@ _BUCKET_LABELS = tuple(
 
 #: The same bucket edges in seconds — the unit the obs histogram uses.
 _BUCKET_EDGES_S = tuple(edge / 1e6 for edge in LATENCY_BUCKET_EDGES_US)
+
+#: Records parsed per step by :func:`_decode_movements`: one group's
+#: ``HelperData`` objects and int64 stack are alive at a time, so a bulk
+#: load's transient stays a few MB above the int32 matrix it fills.
+_DECODE_GROUP = 4096
+
+
+def _decode_movements(params: SystemParams,
+                      records: list[UserRecord]) -> np.ndarray:
+    """Every record's movements as one validated ``(N, n)`` int32 matrix.
+
+    Blobs are parsed ``_DECODE_GROUP`` at a time; each group is checked
+    for shape and the ``[-ka/2, ka/2]`` range before it is narrowed into
+    the preallocated matrix.  Raises ``ParameterError`` on the first bad
+    record, so callers that decode before their write-ahead leave the
+    engine and its journal untouched.
+    """
+    matrix = np.empty((len(records), params.n), dtype=np.int32)
+    for start in range(0, len(records), _DECODE_GROUP):
+        rows = [record.helper().movements
+                for record in records[start: start + _DECODE_GROUP]]
+        for row in rows:
+            if row.shape != (params.n,):
+                raise ParameterError(
+                    f"sketch must have shape ({params.n},), got {row.shape}")
+        matrix[start: start + len(rows)] = _as_movement_matrix(
+            params, np.stack(rows), "sketches")
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -283,9 +312,11 @@ class IdentificationEngine:
         assert self._versions is not None
         return self._versions
 
-    def _append_row(self, record: UserRecord, status: int) -> int:
-        """Append one sketch version row (index, record, status, maps)."""
-        row = self._index.add(record.helper().movements)
+    def _append_row(self, record: UserRecord, status: int,
+                    sketch: np.ndarray) -> int:
+        """Append one sketch version row (index, record, status, maps);
+        ``sketch`` is the record's validated movement row."""
+        row = self._index.add(sketch)
         assert row == len(self), "index/record row drift"
         # Record first, then the id-map entries: a concurrent get() (the
         # service layer's verify pool) must never see a row id whose
@@ -317,21 +348,26 @@ class IdentificationEngine:
         """
         if record.user_id in self._version_map():
             raise EnrollmentError(f"user {record.user_id!r} already enrolled")
-        record.helper()  # validate before the journal write
+        # Shape and range are checked before the journal write: a
+        # refused record must never reach the log it would fail to replay.
+        sketch = _decode_movements(self.params, [record])[0]
         # Write-ahead: the journal entry is durable *before* any
         # in-memory structure mutates, so a crash between the two
         # replays the enrollment on reopen instead of losing it.
         if self._journal is not None:
             self._journal.append(record)
-        self._append_row(record, STATUS_ACTIVE)
+        self._append_row(record, STATUS_ACTIVE, sketch)
         self._seq += 1
 
     def add_many(self, records: list[UserRecord]) -> None:
         """Bulk-enroll records with a single index write.
 
-        Validates duplicates (against the store *and* within the batch)
-        before touching the index, so a rejected batch leaves the engine
-        unchanged.
+        Validates duplicates (against the store *and* within the batch),
+        then decodes every blob into one int32 matrix, checking shape and
+        range, before the first journal write-ahead or index change: a
+        rejected batch leaves the engine and its journal unchanged.  The
+        decode runs in fixed-size groups, so the call's peak memory is
+        that matrix plus the shard copies, not a multiple of it.
         """
         versions = self._version_map()
         by_id = self._identity_map()
@@ -344,8 +380,7 @@ class IdentificationEngine:
             seen.add(record.user_id)
         if not records:
             return
-        movements = np.stack([record.helper().movements
-                              for record in records])
+        movements = _decode_movements(self.params, records)
         # Write-ahead (see add()): every record journaled before the
         # single index write below.
         if self._journal is not None:
@@ -366,7 +401,7 @@ class IdentificationEngine:
         versions = self._version_map()
         if record.user_id not in versions:
             raise EnrollmentError(f"user {record.user_id!r} not enrolled")
-        record.helper()  # validate before the journal write
+        sketch = _decode_movements(self.params, [record])[0]  # see add()
         op = OP_ROTATE if supersede else OP_REENROLL
         self._journal_lifecycle(encode_record_entry(op, record))
         if supersede:
@@ -374,7 +409,7 @@ class IdentificationEngine:
             # journal but no in-memory (or store) structure has moved —
             # recovery must replay it, not lose it.
             faults.fire("engine.rotate.journaled")
-        self._apply_version(record, supersede)
+        self._apply_version(record, supersede, sketch)
         return len(versions[record.user_id]) - 1
 
     def reenroll(self, record: UserRecord) -> int:
@@ -422,13 +457,14 @@ class IdentificationEngine:
 
     # -- lifecycle state transitions (shared by ops and journal replay) -----
 
-    def _apply_version(self, record: UserRecord, supersede: bool) -> int:
+    def _apply_version(self, record: UserRecord, supersede: bool,
+                       sketch: np.ndarray) -> int:
         by_id = self._identity_map()
         active = by_id.get(record.user_id)
         if active is not None:
             self._status[active] = STATUS_SUPERSEDED if supersede \
                 else STATUS_VERIFY_ONLY
-        row = self._append_row(record, STATUS_ACTIVE)
+        row = self._append_row(record, STATUS_ACTIVE, sketch)
         self._seq += 1
         return row
 
@@ -604,14 +640,16 @@ class IdentificationEngine:
             if record.user_id in self._version_map():
                 raise EnrollmentError(
                     f"user {record.user_id!r} already enrolled")
-            self._append_row(record, STATUS_ACTIVE)
+            self._append_row(record, STATUS_ACTIVE,
+                             _decode_movements(self.params, [record])[0])
             self._seq += 1
         elif op in (OP_REENROLL, OP_ROTATE):
             record = body
             if record.user_id not in self._version_map():
                 raise EnrollmentError(
                     f"user {record.user_id!r} not enrolled")
-            self._apply_version(record, supersede=(op == OP_ROTATE))
+            self._apply_version(record, op == OP_ROTATE,
+                                _decode_movements(self.params, [record])[0])
         elif op == OP_REVOKE:
             user_id, version = body
             self._apply_revoke(user_id, version)
@@ -799,9 +837,7 @@ class IdentificationEngine:
         """Load pre-validated rows with explicit statuses (compaction's
         rebuild path); identity/version maps rebuild lazily."""
         if records:
-            movements = np.stack([record.helper().movements
-                                  for record in records])
-            self._index.add_many(movements)
+            self._index.add_many(_decode_movements(self.params, records))
             self._extra.extend(records)
             self._status.extend(statuses)
         self._by_id = None

@@ -50,6 +50,10 @@ _SHARD_HASH_SEED = 0x5CE7C4
 
 _INITIAL_SHARD_CAPACITY = 256
 
+#: Rows hashed per step by :meth:`ShardedSketchIndex._shard_of`, so its
+#: int64/uint64 temporaries stay a few MB whatever the batch size.
+_HASH_ROWS = 4096
+
 
 class _Shard:
     """One partition: a growable ``(count, n)`` matrix + global row ids.
@@ -213,12 +217,21 @@ class ShardedSketchIndex:
         return [(shard.matrix, shard.row_ids) for shard in self._shards]
 
     def _shard_of(self, block: np.ndarray) -> np.ndarray:
-        """Deterministic content-hash shard assignment for ``(B, n)`` rows."""
-        positions = block.astype(np.int64) % self.params.interval_width
-        hashes = positions.astype(np.uint64) * self._hash_weights  # wraps 2^64
-        mixed = hashes.sum(axis=1, dtype=np.uint64) \
-            + np.uint64(0x9E3779B97F4A7C15)
-        return (mixed % np.uint64(len(self._shards))).astype(np.int64)
+        """Deterministic content-hash shard assignment for ``(B, n)`` rows.
+
+        Hashes ``_HASH_ROWS`` rows at a time; each row's shard depends
+        on that row alone.
+        """
+        assignment = np.empty(block.shape[0], dtype=np.int64)
+        for start in range(0, block.shape[0], _HASH_ROWS):
+            rows = block[start: start + _HASH_ROWS]
+            positions = rows.astype(np.int64) % self.params.interval_width
+            hashes = positions.astype(np.uint64) * self._hash_weights  # wraps
+            mixed = hashes.sum(axis=1, dtype=np.uint64) \
+                + np.uint64(0x9E3779B97F4A7C15)
+            assignment[start: start + rows.shape[0]] = \
+                mixed % np.uint64(len(self._shards))
+        return assignment
 
     # -- insertion ---------------------------------------------------------------
 
@@ -237,8 +250,9 @@ class ShardedSketchIndex:
     def add_many(self, sketches: IntArray) -> list[int]:
         """Bulk-insert a ``(B, n)`` stack; returns global row ids.
 
-        One hash pass assigns every row to its shard, then each shard
-        receives a single contiguous block write.
+        One hash pass (in bounded row chunks) assigns every row to its
+        shard, then each shard receives a single contiguous block write.
+        A validated int32 stack is used as-is, with no widening copy.
         """
         block = _as_movement_matrix(self.params, sketches, "sketches")
         count = block.shape[0]

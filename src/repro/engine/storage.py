@@ -219,9 +219,10 @@ class OpenedStore:
         self.close()
 
 
-def _stage(path: Path, data: bytes,
+def _stage(path: Path, data: bytes | bytearray | np.ndarray,
            staged: list[tuple[str, Path]]) -> None:
-    """Write ``data`` to a temp file next to ``path``; commit happens later."""
+    """Write ``data`` (any C-contiguous buffer, written without a copy) to
+    a temp file next to ``path``; commit happens later."""
     handle = tempfile.NamedTemporaryFile(
         dir=path.parent, prefix=path.name + ".", suffix=".tmp", delete=False
     )
@@ -268,8 +269,8 @@ def write_store(path: str | Path, params: SystemParams,
             sketch_name, rows_name = _shard_names(index)
             block = np.ascontiguousarray(matrix, dtype=_SKETCH_DTYPE)
             ids = np.ascontiguousarray(row_ids, dtype=_ROWID_DTYPE)
-            _stage(path / sketch_name, block.tobytes(), staged)
-            _stage(path / rows_name, ids.tobytes(), staged)
+            _stage(path / sketch_name, block, staged)
+            _stage(path / rows_name, ids, staged)
             counts.append(int(block.shape[0]))
 
         offsets = [0]
@@ -280,7 +281,7 @@ def write_store(path: str | Path, params: SystemParams,
             body.extend(blob)
             offsets.append(offsets[-1] + len(blob))
             total += 1
-        _stage(path / _RECORDS_BIN, bytes(body), staged)
+        _stage(path / _RECORDS_BIN, body, staged)
         _stage(path / _RECORDS_IDX,
                np.asarray(offsets, dtype=_OFFSET_DTYPE).tobytes(), staged)
         if statuses is None:
