@@ -4,10 +4,12 @@ The obs layer's contract is "near-zero cost": every counter increment,
 histogram observation, and span record first checks a shared ``enabled``
 flag, so an *instrumented* serving pass may run at most 5% slower than
 a *disabled* one — the acceptance bound.  Each pass builds the same
-stack with the same seeds and times serial and frontend phases of
-identification and verification; obs is toggled between passes, and
-the fastest of three per mode is kept so scheduler noise does not
-masquerade as overhead.
+stack with the same seeds and times a serial phase and two frontend
+phases (identification, verification); obs is toggled between passes.
+Each mode's cost is the sum over phases of that phase's fastest run in
+``ALTERNATIONS`` passes, so scheduler noise does not masquerade as
+overhead: the frontend phases' batching spreads them by about 10% from
+pass to pass, while the true overhead is a few percent.
 
 Sizes here stay deliberately small — the bound is about the obs layer's
 per-event cost, which is independent of database scale, and small runs
@@ -32,11 +34,14 @@ from repro.service.frontend import ServiceFrontend
 OVERHEAD_CEILING = 0.05
 POOL_USERS = 16
 CLIENTS = 8
+#: Passes per mode, alternating disabled/instrumented.
+ALTERNATIONS = 7
 
 
-def _timed_pass() -> tuple[float, dict[str, int]]:
-    """One serving pass: total timed seconds, and the observation count
-    of each per-stage latency histogram."""
+def _timed_pass() -> tuple[list[float], dict[str, int]]:
+    """One serving pass: the timed seconds of each phase (serial, then
+    frontend identification and verification), and the observation
+    count of each per-stage latency histogram."""
     params = SystemParams.paper_defaults(n=128)
     engine = IdentificationEngine(params, shards=4)
     device, server, population = build_stack(
@@ -73,37 +78,40 @@ def _timed_pass() -> tuple[float, dict[str, int]]:
     for op, item in [(identify, i) for i in work(64, 2019)] + \
             [(verify, i) for i in work(32, 2020)]:
         op(device, server, item)
-    total = time.perf_counter() - start
+    phases = [time.perf_counter() - start]
     with ServiceFrontend(server, max_batch=64, batch_window_s=0.05,
                          batch_linger_s=0.004, workers=4) as frontend:
         for op, count, seed in ((identify, 64, 2021), (verify, 32, 2022)):
-            total += closed_loop(
+            phases.append(closed_loop(
                 CLIENTS, work(count, seed),
-                lambda c, item: op(devices[c], frontend, item))
+                lambda c, item: op(devices[c], frontend, item)))
         stages = {
             "queue-wait": frontend.queue_wait_seconds.count,
             "batch-wait": frontend.batch_wait_seconds.count,
             "scan": engine.scan_seconds.count,
             "verify": server.key_tables.verify_seconds.count,
         }
-    return total, stages
+    return phases, stages
 
 
 def test_obs_overhead_within_five_percent(benchmark):
     def measure():
         prior = obs.registry.enabled, obs.tracer.enabled
-        best: dict[bool, tuple[float, dict]] = {}
+        best: dict[bool, list[float]] = {}
+        stages: dict[bool, list[dict]] = {False: [], True: []}
         try:
-            for _ in range(3):
+            for _ in range(ALTERNATIONS):
                 for enabled in (False, True):
                     obs.set_enabled(enabled)
-                    total, stages = _timed_pass()
-                    if enabled not in best or total < best[enabled][0]:
-                        best[enabled] = (total, stages)
+                    phases, counts = _timed_pass()
+                    best[enabled] = phases if enabled not in best else [
+                        min(a, b) for a, b in zip(best[enabled], phases)]
+                    stages[enabled].append(counts)
         finally:
             obs.configure(metrics_enabled=prior[0],
                           tracing_enabled=prior[1])
-        return best[True], best[False]
+        return (sum(best[True]), stages[True]), \
+            (sum(best[False]), stages[False])
 
     (on_s, on_stages), (off_s, off_stages) = benchmark.pedantic(
         measure, rounds=1, iterations=1)
@@ -112,7 +120,7 @@ def test_obs_overhead_within_five_percent(benchmark):
         f"observability costs {overhead * 100:.1f}% of service "
         f"throughput; the obs layer promises <= {OVERHEAD_CEILING * 100:.0f}%"
     )
-    # The comparison must be real: the instrumented pass recorded every
-    # per-stage histogram and the disabled pass recorded none.
-    assert all(on_stages.values()), on_stages
-    assert not any(off_stages.values()), off_stages
+    # The comparison must be real: every instrumented pass recorded
+    # every per-stage histogram and no disabled pass recorded any.
+    assert all(all(counts.values()) for counts in on_stages), on_stages
+    assert not any(any(counts.values()) for counts in off_stages), off_stages

@@ -627,32 +627,49 @@ class IdentificationEngine:
         return self._journal.head_seq if self._journal is not None \
             else self._seq
 
-    def _apply_entry(self, payload: bytes, entry_format: str) -> None:
-        """Apply one journal entry (replay/replication; no re-journaling
-        here — callers own the write-ahead step).  Advances ``_seq``."""
+    def _check_entry(self, payload: bytes, entry_format: str
+                     ) -> tuple[int, object, np.ndarray | None]:
+        """Decode and validate one journal entry without applying it:
+        ``(op, body, sketch)``, ``sketch`` being the validated movement
+        row of an enroll/re-enroll/rotate.  Raises ``EnrollmentError``
+        or ``ParameterError`` for an entry this engine would refuse, so
+        a caller can check before its write-ahead."""
         if entry_format == ENTRY_FORMAT_RECORD:
             op: int = OP_ENROLL
             body: object = _decode_record(payload)
         else:
             op, body = decode_entry(payload)
+        versions = self._version_map()
+        if op == OP_REVOKE:
+            user_id, _version = body
+            if user_id not in versions:
+                raise EnrollmentError(f"user {user_id!r} not enrolled")
+            return op, body, None
+        record = body
+        if op == OP_ENROLL and record.user_id in versions:
+            raise EnrollmentError(
+                f"user {record.user_id!r} already enrolled")
+        if op != OP_ENROLL and record.user_id not in versions:
+            raise EnrollmentError(f"user {record.user_id!r} not enrolled")
+        return op, body, _decode_movements(self.params, [record])[0]
+
+    def _apply_checked(self, op: int, body: object,
+                       sketch: np.ndarray | None) -> None:
+        """Apply one entry :meth:`_check_entry` accepted.  Advances
+        ``_seq``."""
         if op == OP_ENROLL:
-            record = body
-            if record.user_id in self._version_map():
-                raise EnrollmentError(
-                    f"user {record.user_id!r} already enrolled")
-            self._append_row(record, STATUS_ACTIVE,
-                             _decode_movements(self.params, [record])[0])
+            self._append_row(body, STATUS_ACTIVE, sketch)
             self._seq += 1
         elif op in (OP_REENROLL, OP_ROTATE):
-            record = body
-            if record.user_id not in self._version_map():
-                raise EnrollmentError(
-                    f"user {record.user_id!r} not enrolled")
-            self._apply_version(record, op == OP_ROTATE,
-                                _decode_movements(self.params, [record])[0])
+            self._apply_version(body, op == OP_ROTATE, sketch)
         elif op == OP_REVOKE:
             user_id, version = body
             self._apply_revoke(user_id, version)
+
+    def _apply_entry(self, payload: bytes, entry_format: str) -> None:
+        """Apply one journal entry (replay/replication; no re-journaling
+        here — callers own the write-ahead step).  Advances ``_seq``."""
+        self._apply_checked(*self._check_entry(payload, entry_format))
 
     def attach_journal(self, journal: EnrollmentJournal) -> int:
         """Attach a journal, replaying any entries past current state.
@@ -694,10 +711,11 @@ class IdentificationEngine:
         Entries whose sequence number is already covered are skipped
         (idempotent catch-up); a gap raises
         :class:`~repro.exceptions.ReplicationError` — the follower must
-        re-fetch from its actual offset.  Every applied entry is first
+        re-fetch from its actual offset.  Every entry is checked, then
         re-journaled locally when the follower has its own journal
-        (durability survives follower restarts).  Returns the number of
-        newly applied entries.
+        (durability survives follower restarts), then applied: a refused
+        entry never reaches the follower's journal.  Returns the number
+        of newly applied entries.
         """
         applied = 0
         for seq, payload in entries:
@@ -709,8 +727,9 @@ class IdentificationEngine:
                     f"replication gap: follower at seq {have}, "
                     f"stream resumed at {seq}")
             try:
+                checked = self._check_entry(payload, ENTRY_FORMAT_TYPED)
                 self._journal_lifecycle(payload)
-                self._apply_entry(payload, ENTRY_FORMAT_TYPED)
+                self._apply_checked(*checked)
             except (EnrollmentError, ParameterError) as exc:
                 raise ReplicationError(
                     f"replicated entry conflicts with follower state: "

@@ -90,7 +90,8 @@ events = EventLog()
 
 def _forward_span(span: Span) -> None:
     """Mirror each recorded span into the JSONL event log."""
-    events.emit("span", **span.as_dict())
+    if events.path is not None:  # skip building the dict while inert
+        events.emit("span", **span.as_dict())
 
 
 tracer.on_span = _forward_span

@@ -2,9 +2,10 @@
 
 ``IdentificationEngine.add_many`` decodes helper data in fixed-size
 groups into one int32 matrix and validates it before the first journal
-write; ``add``, ``reenroll`` and ``rotate`` validate before theirs.  A
-refused record must leave the engine and its journal untouched, or the
-journal stops replaying.
+write; ``add``, ``reenroll``, ``rotate`` and a follower's
+``apply_replicated`` validate before theirs.  A refused record must
+leave the engine and its journal untouched, or the journal stops
+replaying.
 """
 
 import tracemalloc
@@ -14,9 +15,19 @@ import pytest
 
 from repro.core.extractor import HelperData
 from repro.core.params import SystemParams
+from repro.core.index import _as_movement_matrix
 from repro.engine import IdentificationEngine
+from repro.engine import engine as engine_module
+from repro.engine import sharded as sharded_module
 from repro.engine.journal import EnrollmentJournal
-from repro.exceptions import EnrollmentError, ParameterError
+from repro.engine.lifecycle import (
+    OP_ENROLL,
+    OP_REENROLL,
+    encode_record_entry,
+    encode_revoke_entry,
+)
+from repro.engine.sharded import ShardedSketchIndex
+from repro.exceptions import EnrollmentError, ParameterError, ReplicationError
 from repro.protocols.database import UserRecord
 
 INT64_MIN = np.iinfo(np.int64).min
@@ -70,6 +81,49 @@ class TestBulkLoadMemory:
                 engine._index.shard_parts(), one_by_one._index.shard_parts()):
             np.testing.assert_array_equal(rows, ref_rows)
             np.testing.assert_array_equal(matrix, ref_matrix)
+
+
+class TestChunkBoundaries:
+    """Decode groups and hash chunks must not change what is loaded."""
+
+    def test_decode_groups_match_a_single_stack(self, paper_params,
+                                                monkeypatch):
+        records = _uniform_records(paper_params, 11)
+        monkeypatch.setattr(engine_module, "_DECODE_GROUP", 4)
+        matrix = engine_module._decode_movements(paper_params, records)
+        assert matrix.dtype == np.int32
+        np.testing.assert_array_equal(
+            matrix, np.stack([r.helper().movements for r in records]))
+
+    def test_bad_record_in_a_later_group_refuses_the_batch(
+            self, paper_params, monkeypatch):
+        monkeypatch.setattr(engine_module, "_DECODE_GROUP", 4)
+        engine = IdentificationEngine(paper_params, shards=2)
+        batch = _uniform_records(paper_params, 9) + [
+            _record("high", _with_first(paper_params, _half(paper_params) + 1))]
+        with pytest.raises(ParameterError, match="must lie in"):
+            engine.add_many(batch)
+        assert len(engine) == 0
+        assert sum(engine.stats().shard_sizes) == 0
+
+    def test_hash_chunks_match_one_pass(self, paper_params, monkeypatch):
+        block = _as_movement_matrix(paper_params, np.stack(
+            [r.helper().movements
+             for r in _uniform_records(paper_params, 23)]), "sketches")
+        index = ShardedSketchIndex(paper_params, shards=3)
+        one_pass = index._shard_of(block)
+        monkeypatch.setattr(sharded_module, "_HASH_ROWS", 5)
+        np.testing.assert_array_equal(index._shard_of(block), one_pass)
+        assert set(one_pass.tolist()) <= {0, 1, 2}
+
+    def test_int32_matrix_is_checked_in_place(self, paper_params):
+        matrix = np.zeros((3, paper_params.n), dtype=np.int32)
+        assert _as_movement_matrix(paper_params, matrix, "sketches") \
+            is matrix
+        widened = _as_movement_matrix(paper_params,
+                                      matrix.astype(np.int64), "sketches")
+        assert widened.dtype == np.int32
+        np.testing.assert_array_equal(widened, matrix)
 
 
 class TestInt64MinMovement:
@@ -170,3 +224,40 @@ class TestRefusedWritesLeaveTheJournalReplayable:
         assert engine.get("new-0") is None
         assert sum(engine.stats().shard_sizes) == 2
         self._assert_unchanged(engine, path, paper_params, 2)
+
+
+#: A replicated entry a follower holding ``old-0`` and ``old-1`` refuses.
+_BAD_REPLICATED_ENTRIES = [
+    pytest.param(lambda p: encode_record_entry(
+        OP_ENROLL, _record("old-0", _with_first(p, 0))),
+        id="enroll-duplicate"),
+    pytest.param(lambda p: encode_record_entry(
+        OP_ENROLL, _record("far", _with_first(p, 10**6))),
+        id="enroll-out-of-range"),
+    pytest.param(lambda p: encode_record_entry(
+        OP_ENROLL, _record("min", _with_first(p, INT64_MIN))),
+        id="enroll-int64-min"),
+    pytest.param(lambda p: encode_record_entry(
+        OP_REENROLL, _record("ghost", _with_first(p, 0))),
+        id="reenroll-unknown"),
+    pytest.param(lambda p: encode_revoke_entry("ghost", None),
+                 id="revoke-unknown"),
+]
+
+
+class TestRefusedReplicationLeavesTheFollowerJournalReplayable:
+    @pytest.mark.parametrize("bad_entry", _BAD_REPLICATED_ENTRIES)
+    def test_refused_entry_is_not_journaled(self, tmp_path, paper_params,
+                                            bad_entry):
+        path = tmp_path / "journal.log"
+        follower = IdentificationEngine(paper_params, shards=2, journal=path)
+        old = _uniform_records(paper_params, 2, tag="old")
+        assert follower.apply_replicated(
+            [(i, encode_record_entry(OP_ENROLL, r))
+             for i, r in enumerate(old)]) == 2
+        journal_bytes = path.stat().st_size
+        with pytest.raises(ReplicationError, match="conflicts"):
+            follower.apply_replicated([(2, bad_entry(paper_params))])
+        assert path.stat().st_size == journal_bytes
+        TestRefusedWritesLeaveTheJournalReplayable._assert_unchanged(
+            follower, path, paper_params, 2)
