@@ -80,14 +80,15 @@ class TestTable2Rows:
     def test_sketch_wire_size_matches_information_bound(self, benchmark,
                                                         fe, template):
         """The serialised sketch is within a small factor of the
-        information-theoretic n*log2(ka+1) bound (we use fixed 8-byte
-        words on the wire; the bound is what Table II reports)."""
+        information-theoretic n*log2(ka+1) bound (the wire spends two
+        bytes per movement at ka = 400, about 1.85x the bound; the bound
+        is what Table II reports)."""
         _, helper = benchmark.pedantic(fe.generate,
                                        args=(template, HmacDrbg(b"t2")),
                                        rounds=1, iterations=1)
         wire_bits = 8 * helper.storage_bytes()
         bound_bits = fe.params.storage_bits
-        assert bound_bits < wire_bits < 8 * bound_bits
+        assert bound_bits < wire_bits < 2 * bound_bits
 
 
 class TestTable2Primitives:

@@ -29,11 +29,22 @@ from repro.core.params import SystemParams
 from repro.core.robust import RobustSketchValue
 from repro.core.sketch import ChebyshevSketch
 from repro.crypto.extractors import StrongExtractor, default_extractor
-from repro.crypto.hashing import constant_time_equal, encode_int_vector, hash_concat
+from repro.crypto.hashing import (
+    compact_dtype,
+    compact_row_widths,
+    constant_time_equal,
+    decode_compact_int_vector,
+    encode_compact_int_vector,
+    encode_int_vector,
+    hash_concat,
+)
 from repro.crypto.prng import HmacDrbg
 from repro.exceptions import ParameterError, TamperDetectedError
 
 _TAG_LABEL = b"repro-fuzzy-extractor-v1"
+#: First byte of each helper-data layout (see :meth:`HelperData.to_bytes`).
+_COMPACT_LAYOUT = b"\x01"
+_LEGACY_LAYOUT = b"\x00"
 
 
 @dataclass(frozen=True)
@@ -55,47 +66,133 @@ class HelperData:
         return RobustSketchValue(movements=self.movements, tag=self.tag)
 
     def storage_bytes(self) -> int:
-        """Wire size of the helper data."""
-        return 8 * len(self.movements) + len(self.tag) + len(self.seed)
+        """Wire size of the helper data: its encoded length."""
+        return len(self.to_bytes())
 
     # -- serialisation (used by the protocol layer) -------------------------------
 
     def to_bytes(self) -> bytes:
-        """Canonical wire encoding: lengths-prefixed (movements, tag, seed)."""
-        body = encode_int_vector(self.movements)
+        """Canonical wire and store encoding of ``P``.
+
+        ``0x01``, then the tag and the seed, each behind a 2-byte
+        big-endian length, then the movements behind a 4-byte length in
+        the compact form of
+        :func:`~repro.crypto.hashing.encode_compact_int_vector` (one width
+        byte, then the smallest of 1, 2, 4 or 8 bytes per movement that
+        holds them all: two at ``ka = 400``).
+        :meth:`from_bytes` also reads the legacy layout, whose leading
+        ``0x00`` is the high byte of an 8-byte length before int64
+        movements; nothing writes it any more.
+        """
+        vector = encode_compact_int_vector(self.movements)
         return b"".join([
-            len(body).to_bytes(8, "big"), body,
+            _COMPACT_LAYOUT,
             len(self.tag).to_bytes(2, "big"), self.tag,
             len(self.seed).to_bytes(2, "big"), self.seed,
+            len(vector).to_bytes(4, "big"), vector,
         ])
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "HelperData":
         """Inverse of :meth:`to_bytes`; raises ``ParameterError`` on junk."""
         try:
-            offset = 0
-            body_len = int.from_bytes(data[offset: offset + 8], "big")
-            offset += 8
-            body = data[offset: offset + body_len]
-            if len(body) != body_len:
-                raise ValueError("truncated movements")
-            offset += body_len
-            tag_len = int.from_bytes(data[offset: offset + 2], "big")
-            offset += 2
-            tag = data[offset: offset + tag_len]
-            if len(tag) != tag_len:
-                raise ValueError("truncated tag")
-            offset += tag_len
-            seed_len = int.from_bytes(data[offset: offset + 2], "big")
-            offset += 2
-            seed = data[offset: offset + seed_len]
-            if len(seed) != seed_len or offset + seed_len != len(data):
+            if data[:1] == _LEGACY_LAYOUT:
+                return cls._from_legacy(data)
+            if data[:1] != _COMPACT_LAYOUT:
+                raise ValueError("unknown helper-data layout")
+            tag, offset = _take(data, 1, 2)
+            seed, offset = _take(data, offset, 2)
+            vector, offset = _take(data, offset, 4)
+            if offset != len(data):
                 raise ValueError("truncated or oversized encoding")
+            movements = decode_compact_int_vector(vector)
         except (IndexError, ValueError) as exc:
             raise ParameterError(f"malformed helper data: {exc}") from exc
-        from repro.crypto.hashing import decode_int_vector
+        return cls(movements=movements, tag=tag, seed=seed)
 
-        return cls(movements=decode_int_vector(body), tag=tag, seed=seed)
+    @classmethod
+    def _from_legacy(cls, data: bytes) -> "HelperData":
+        """Read the legacy layout: 8-byte length and int64 movements, then
+        the 2-byte-length tag and seed."""
+        body, offset = _take(data, 0, 8)
+        tag, offset = _take(data, offset, 2)
+        seed, offset = _take(data, offset, 2)
+        if offset != len(data):
+            raise ValueError("truncated or oversized encoding")
+        if len(body) % 8:
+            raise ValueError(
+                f"byte length {len(body)} is not a multiple of 8")
+        movements = np.frombuffer(body, dtype=">i8").astype(np.int64)
+        return cls(movements=movements, tag=tag, seed=seed)
+
+
+def _take(data: bytes, offset: int, prefix: int) -> tuple[bytes, int]:
+    """The chunk behind a ``prefix``-byte big-endian length at ``offset``,
+    and the offset after it; ``ValueError`` when ``data`` is too short."""
+    if offset + prefix > len(data):
+        raise ValueError("truncated length")
+    length = int.from_bytes(data[offset: offset + prefix], "big")
+    offset += prefix
+    if offset + length > len(data):
+        raise ValueError("truncated chunk")
+    return data[offset: offset + length], offset + length
+
+
+def decode_movement_rows(blobs: list[bytes], n: int) -> np.ndarray:
+    """The movements of many helper blobs as one ``(len(blobs), n)`` int64
+    matrix.
+
+    Accepts and refuses exactly the blobs :meth:`HelperData.from_bytes`
+    does (``ParameterError``), and also refuses any vector not of length
+    ``n``.  A group of compact blobs that share one length and one header
+    (layout byte, tag, seed and vector lengths, width) decodes with one ``join`` and
+    one strided view, and its canonical widths are checked row-wise; any
+    other group, and a lone blob, parses blob by blob.
+    """
+    if len(blobs) > 1 and blobs[0][:1] == _COMPACT_LAYOUT:
+        rows = _uniform_compact_rows(blobs, n)
+        if rows is not None:
+            return rows
+    rows = np.empty((len(blobs), n), dtype=np.int64)
+    for i, blob in enumerate(blobs):
+        movements = HelperData.from_bytes(blob).movements
+        if movements.shape != (n,):
+            raise ParameterError(
+                f"sketch must have shape ({n},), got {movements.shape}")
+        rows[i] = movements
+    return rows
+
+
+def _uniform_compact_rows(blobs: list[bytes], n: int) -> np.ndarray | None:
+    """:func:`decode_movement_rows`' one-pass path, or ``None`` when the
+    group is not uniform or holds a blob it must refuse (the blob-by-blob
+    path then raises the error :meth:`HelperData.from_bytes` gives)."""
+    first = blobs[0]
+    size = len(first)
+    if any(len(blob) != size for blob in blobs):
+        return None
+    try:
+        HelperData.from_bytes(first)
+    except ParameterError:
+        return None
+    seed_at = 3 + int.from_bytes(first[1:3], "big")
+    vector_at = seed_at + 2 + int.from_bytes(first[seed_at: seed_at + 2],
+                                             "big")
+    width_at = vector_at + 4
+    width = first[width_at]
+    if size - width_at - 1 != n * width:
+        return None
+    joined = b"".join(blobs)
+    table = np.frombuffer(joined, dtype=np.uint8).reshape(len(blobs), size)
+    header = [0, 1, 2, seed_at, seed_at + 1, *range(vector_at, width_at + 1)]
+    if not (table[:, header] == table[0, header]).all():
+        return None
+    rows = np.ndarray((len(blobs), n), dtype=compact_dtype(width),
+                      buffer=joined, offset=width_at + 1,
+                      strides=(size, width)).astype(np.int64)
+    if not (compact_row_widths(rows) == width).all():
+        return None
+    return rows
 
 
 class SuccinctFuzzyExtractor:
@@ -150,9 +247,19 @@ class SuccinctFuzzyExtractor:
     # -- Rep ---------------------------------------------------------------------------
 
     def reproduce(self, y: IntArray, helper: HelperData) -> bytes:
-        """``Rep(y, P) -> R``; raises ``RecoveryError`` / ``TamperDetectedError``."""
-        recovered = self.sketcher.recover(y, helper.movements)
-        expected = self._tag(recovered, helper.movements, helper.seed)
+        """``Rep(y, P) -> R``; raises ``RecoveryError`` / ``TamperDetectedError``.
+
+        Helper data whose movements are no valid sketch (wrong length, or
+        a movement beyond ``ka/2``) is tampered helper data, so it fails
+        closed as ``TamperDetectedError`` rather than as a parameter error.
+        """
+        try:
+            movements = self.sketcher.validate_sketch(helper.movements)
+        except ParameterError as exc:
+            raise TamperDetectedError(
+                f"helper data holds no valid sketch: {exc}") from exc
+        recovered = self.sketcher.recover(y, movements)
+        expected = self._tag(recovered, movements, helper.seed)
         if not constant_time_equal(expected, helper.tag):
             raise TamperDetectedError(
                 "helper-data tag mismatch during Rep: sketch, tag or seed "

@@ -27,7 +27,11 @@ import numpy as np
 from repro.core.numberline import IntArray
 from repro.core.params import SystemParams
 from repro.core.sketch import ChebyshevSketch
-from repro.crypto.hashing import constant_time_equal, hash_vectors
+from repro.crypto.hashing import (
+    constant_time_equal,
+    encode_compact_int_vector,
+    hash_vectors,
+)
 from repro.crypto.prng import HmacDrbg
 from repro.exceptions import ParameterError, TamperDetectedError
 
@@ -46,8 +50,8 @@ class RobustSketchValue:
             raise ParameterError("tag must be a 32-byte SHA-256 digest")
 
     def storage_bytes(self) -> int:
-        """Wire size: 8 bytes per movement plus the 32-byte tag."""
-        return 8 * len(self.movements) + len(self.tag)
+        """Wire size: the compact movement encoding plus the tag."""
+        return len(encode_compact_int_vector(self.movements)) + len(self.tag)
 
 
 class RobustChebyshevSketch:

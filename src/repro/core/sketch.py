@@ -146,7 +146,9 @@ class ChebyshevSketch:
         if not np.issubdtype(arr.dtype, np.integer):
             raise ParameterError(f"sketch must be integer-typed, got {arr.dtype}")
         arr = arr.astype(np.int64)
-        if int(np.max(np.abs(arr))) > self.line.half_interval:
+        half = self.line.half_interval
+        # Extremes, not abs: abs(-2**63) is still negative.
+        if arr.size and (int(arr.min()) < -half or int(arr.max()) > half):
             raise ParameterError(
                 f"sketch movement exceeds ka/2 = {self.line.half_interval}"
             )

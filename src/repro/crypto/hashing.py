@@ -8,8 +8,14 @@ The paper instantiates two hash-based primitives:
 
 Everything here is a thin, well-typed wrapper over :mod:`hashlib` /
 :mod:`hmac` from the standard library.  Canonical byte encodings for integer
-vectors live here too, so that a sketch hashed on the device equals the
-sketch hashed on the server byte-for-byte.
+vectors live here too, in two forms:
+
+* :func:`encode_int_vector` — fixed 8-byte words, the only form that is
+  ever hashed, so a sketch hashed on the device equals the sketch hashed
+  on the server byte-for-byte;
+* :func:`encode_compact_int_vector` — one width byte then the smallest
+  fixed width that holds every coordinate, the form sent on the wire and
+  stored.
 """
 
 from __future__ import annotations
@@ -20,10 +26,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-#: Number of bytes used to serialise one signed vector coordinate.  Eight
-#: bytes comfortably covers the paper's representation range of
-#: ``[-100000, 100000]`` and any practical number line.
-_COORD_BYTES = 8
+#: Big-endian coordinate dtype of each width the compact encoding may use.
+_COMPACT_DTYPES = {width: np.dtype(f">i{width}") for width in (1, 2, 4, 8)}
+_WIDTH_PREFIX = {width: bytes([width]) for width in _COMPACT_DTYPES}
+#: ``(width, lo, hi)`` of every width narrower than 8 bytes, narrowest first.
+_NARROW_RANGES = tuple(
+    (width, -(1 << (8 * width - 1)), (1 << (8 * width - 1)) - 1)
+    for width in (1, 2, 4))
+_MIN = np.minimum.reduce
+_MAX = np.maximum.reduce
 
 DIGEST_SIZE = hashlib.sha256().digest_size
 
@@ -63,13 +74,73 @@ def encode_int_vector(vector: Sequence[int] | np.ndarray) -> bytes:
     return arr.astype(">i8").tobytes()
 
 
-def decode_int_vector(data: bytes) -> np.ndarray:
-    """Inverse of :func:`encode_int_vector`."""
-    if len(data) % _COORD_BYTES:
-        raise ValueError(
-            f"byte length {len(data)} is not a multiple of {_COORD_BYTES}"
-        )
-    return np.frombuffer(data, dtype=">i8").astype(np.int64)
+def compact_width(vector: np.ndarray) -> int:
+    """Smallest width in ``{1, 2, 4, 8}`` bytes that holds every coordinate
+    of the int64 ``vector`` (1 for an empty one)."""
+    if not vector.size:
+        return 1
+    lo, hi = int(_MIN(vector)), int(_MAX(vector))
+    for width, width_lo, width_hi in _NARROW_RANGES:
+        if width_lo <= lo and hi <= width_hi:
+            return width
+    return 8
+
+
+def compact_row_widths(matrix: np.ndarray) -> np.ndarray:
+    """:func:`compact_width` of every row of an int64 ``(B, n)`` matrix."""
+    widths = np.full(matrix.shape[0], 8 if matrix.shape[1] else 1,
+                     dtype=np.int64)
+    if matrix.shape[1]:
+        lo, hi = matrix.min(axis=1), matrix.max(axis=1)
+        for width, width_lo, width_hi in reversed(_NARROW_RANGES):
+            widths[(width_lo <= lo) & (hi <= width_hi)] = width
+    return widths
+
+
+def encode_compact_int_vector(vector: Sequence[int] | np.ndarray) -> bytes:
+    """Serialise a signed integer vector in its canonical compact form.
+
+    One width byte ``w`` in ``{1, 2, 4, 8}``, then ``len * w`` bytes of
+    big-endian two's complement.  ``w`` is the smallest width that holds
+    every coordinate, so each vector has exactly one encoding.  This is a
+    transport and storage form only: hashes and tags are computed over
+    :func:`encode_int_vector`, which it does not replace.
+    """
+    arr = np.asarray(vector, dtype=np.int64)
+    if arr.ndim != 1:
+        raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
+    width = compact_width(arr)
+    return _WIDTH_PREFIX[width] + arr.astype(_COMPACT_DTYPES[width]).tobytes()
+
+
+def compact_dtype(width: int) -> np.dtype:
+    """The big-endian coordinate dtype of a compact width byte; raises
+    ``ValueError`` for a width the encoding never writes."""
+    dtype = _COMPACT_DTYPES.get(width)
+    if dtype is None:
+        raise ValueError(f"unknown coordinate width {width}")
+    return dtype
+
+
+def decode_compact_int_vector(data: bytes | memoryview) -> np.ndarray:
+    """Inverse of :func:`encode_compact_int_vector`, as int64.
+
+    Refuses (``ValueError``) an empty input, an unknown width, a body that
+    is not a multiple of the width, and a width wider than the values
+    need — so only canonical encodings decode.
+    """
+    if not len(data):
+        raise ValueError("empty compact vector")
+    width = data[0]
+    dtype = compact_dtype(width)
+    if (len(data) - 1) % width:
+        raise ValueError(f"body of {len(data) - 1} bytes is not a multiple "
+                         f"of the coordinate width {width}")
+    arr = np.frombuffer(data, dtype=dtype, offset=1).astype(np.int64)
+    if compact_width(arr) != width:
+        raise ValueError(f"coordinate width {width} is wider than the "
+                         f"values need (non-canonical)")
+    return arr
 
 
 def hash_vectors(*vectors: Sequence[int] | np.ndarray, label: bytes = b"") -> bytes:

@@ -34,6 +34,7 @@ from typing import Iterator
 import numpy as np
 
 from repro import faults, obs
+from repro.core.extractor import decode_movement_rows
 from repro.core.index import _as_movement_matrix
 from repro.core.params import SystemParams
 from repro.crypto.signatures import VerifyTableCache
@@ -82,9 +83,9 @@ _BUCKET_LABELS = tuple(
 #: The same bucket edges in seconds — the unit the obs histogram uses.
 _BUCKET_EDGES_S = tuple(edge / 1e6 for edge in LATENCY_BUCKET_EDGES_US)
 
-#: Records parsed per step by :func:`_decode_movements`: one group's
-#: ``HelperData`` objects and int64 stack are alive at a time, so a bulk
-#: load's transient stays a few MB above the int32 matrix it fills.
+#: Records decoded per step by :func:`_decode_movements`: one group's
+#: joined blobs and int64 rows are alive at a time, so a bulk load's
+#: transient stays a few MB above the int32 matrix it fills.
 _DECODE_GROUP = 4096
 
 
@@ -92,22 +93,20 @@ def _decode_movements(params: SystemParams,
                       records: list[UserRecord]) -> np.ndarray:
     """Every record's movements as one validated ``(N, n)`` int32 matrix.
 
-    Blobs are parsed ``_DECODE_GROUP`` at a time; each group is checked
-    for shape and the ``[-ka/2, ka/2]`` range before it is narrowed into
-    the preallocated matrix.  Raises ``ParameterError`` on the first bad
-    record, so callers that decode before their write-ahead leave the
-    engine and its journal untouched.
+    Blobs are decoded ``_DECODE_GROUP`` at a time
+    (:func:`~repro.core.extractor.decode_movement_rows`); each group is
+    checked for shape and the ``[-ka/2, ka/2]`` range before it is
+    narrowed into the preallocated matrix.  Raises ``ParameterError`` on
+    the first bad record, so callers that decode before their write-ahead
+    leave the engine and its journal untouched.
     """
     matrix = np.empty((len(records), params.n), dtype=np.int32)
     for start in range(0, len(records), _DECODE_GROUP):
-        rows = [record.helper().movements
-                for record in records[start: start + _DECODE_GROUP]]
-        for row in rows:
-            if row.shape != (params.n,):
-                raise ParameterError(
-                    f"sketch must have shape ({params.n},), got {row.shape}")
-        matrix[start: start + len(rows)] = _as_movement_matrix(
-            params, np.stack(rows), "sketches")
+        group = records[start: start + _DECODE_GROUP]
+        rows = decode_movement_rows([record.helper_data for record in group],
+                                    params.n)
+        matrix[start: start + len(group)] = _as_movement_matrix(
+            params, rows, "sketches")
     return matrix
 
 

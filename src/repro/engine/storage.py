@@ -21,19 +21,30 @@ O(1):
     a ``(N+1,)`` uint64 offset table.  Records are materialised lazily
     one at a time through :class:`LazyRecordFile`; nothing is parsed at
     open time.
-``status.bin`` (format 2)
+``status.bin`` (formats 2 and 3)
     One byte per row: the sketch-version lifecycle status
     (:mod:`repro.engine.lifecycle`), read fully at open (N bytes — the
     only per-record cost the open path pays) because the engine mutates
-    it in memory.  Format-2 manifests additionally record the journal
-    operation count at save time (``journal_seq``) and the engine's
-    journal attachment mode (``journal``: true/false/null), so a
+    it in memory.  Format-2 and later manifests additionally record the
+    journal operation count at save time (``journal_seq``) and the
+    engine's journal attachment mode (``journal``: true/false/null), so a
     reopened engine resumes both without being told.
 
-A format-1 directory (saved before sketch lifecycle existed) opens
+Format 3 is the current one.  Its layout is format 2's; what changed is
+the helper blob inside each record, which
+:meth:`~repro.core.extractor.HelperData.to_bytes` now writes in the
+compact layout (two bytes per movement at the usual ``ka`` instead of
+eight).  The version was raised so that a build that cannot read compact
+blobs refuses the store at open, not at its first record lookup.
+
+Older directories open read-compatibly and the next save writes format
+3.  Their records keep the legacy helper layout, which
+:meth:`~repro.core.extractor.HelperData.from_bytes` still reads, in a
+format-2 store or in a journal written before the compact layout.  A
+format-1 directory (saved before sketch lifecycle existed) also opens
 through a compatibility shim: every row reads as an active version and
 ``journal_seq`` defaults to the record count — exactly the semantics it
-was saved with.  The next save writes format 2.
+was saved with.
 
 Everything stored is public helper data: integrity matters,
 confidentiality does not.
@@ -57,10 +68,11 @@ from repro.exceptions import ParameterError
 from repro.ioutil import atomic_replace
 from repro.protocols.database import UserRecord
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 #: Formats :func:`open_store` accepts; format 1 (pre-lifecycle) opens
-#: through the all-rows-active compatibility shim.
-SUPPORTED_FORMATS = (1, FORMAT_VERSION)
+#: through the all-rows-active compatibility shim, and format 2 differs
+#: from 3 only in holding legacy-layout helper blobs alone.
+SUPPORTED_FORMATS = (1, 2, FORMAT_VERSION)
 _MANIFEST = "manifest.json"
 _RECORDS_BIN = "records.bin"
 _RECORDS_IDX = "records.idx"

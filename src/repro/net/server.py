@@ -734,18 +734,23 @@ class NetworkServer:
         hand it to the transport without concatenating.  A reply
         larger than ``max_frame`` (a tiny configured cap, or an O(N)
         baseline batch outgrowing it) must not kill the connection
-        silently: the client gets a ``protocol`` error frame whose
-        detail is cut to fit.  Returns ``None`` only when the cap is too
-        small for even an empty error frame.
+        silently: the client gets an error frame whose detail is cut to
+        fit — an oversized error reply keeps its own code and detail,
+        anything else becomes a ``protocol`` error naming the cap.
+        Returns ``None`` only when the cap is too small for even an
+        empty error frame.
         """
         try:
             return frame_buffers(message, self.max_frame)
         except ProtocolError as exc:
-            code = message.code if isinstance(message, ErrorReply) \
-                else "protocol"
-            detail = str(exc)
-            # Payload: 2B tag + two 8B chunk lengths + code + detail.
-            room = self.max_frame - 2 - 8 - len(code.encode()) - 8
+            if isinstance(message, ErrorReply):
+                code, detail = message.code, message.detail
+            else:
+                code, detail = "protocol", str(exc)
+            # Everything but the detail: each field's chunk length, the
+            # code and an empty retry hint.
+            room = self.max_frame - len(
+                ErrorReply(code=code, detail="").encode())
             try:
                 return frame_buffers(
                     ErrorReply(code=code, detail=detail[:max(room, 0)]),

@@ -12,7 +12,8 @@ with an injective byte encoding, so:
 
 Encoding format: a 2-byte type tag followed by length-prefixed chunks
 (8-byte big-endian lengths).  Strings are UTF-8; integer vectors use the
-canonical fixed-width encoding from :mod:`repro.crypto.hashing`.
+canonical compact encoding from :mod:`repro.crypto.hashing` (one width
+byte, then the smallest fixed width that holds every coordinate).
 """
 
 from __future__ import annotations
@@ -22,7 +23,10 @@ from typing import ClassVar, Type, TypeVar
 
 import numpy as np
 
-from repro.crypto.hashing import decode_int_vector, encode_int_vector
+from repro.crypto.hashing import (
+    decode_compact_int_vector,
+    encode_compact_int_vector,
+)
 from repro.exceptions import ProtocolError
 
 _M = TypeVar("_M", bound="Message")
@@ -94,7 +98,7 @@ class Message:
         if isinstance(value, bool):
             return bytes([1 if value else 0])
         if isinstance(value, np.ndarray):
-            return encode_int_vector(value)
+            return encode_compact_int_vector(value)
         if value is None:
             return b"\xff"  # distinguished None marker for optional strings
         raise TypeError(f"cannot encode field of type {type(value)!r}")
@@ -168,7 +172,7 @@ class Message:
         annotation = cls.__annotations__.get(name, "bytes")
         text = str(annotation)
         if "ndarray" in text:
-            return decode_int_vector(chunk)
+            return decode_compact_int_vector(chunk)
         if text in ("str", "builtins.str"):
             return str(chunk, "utf-8")
         if text in ("bool", "builtins.bool"):

@@ -93,4 +93,5 @@ class TestValueValidation:
     def test_storage_accounting(self, robust, rng, drbg):
         x = robust.inner.line.uniform_vector(rng)
         value = robust.sketch(x, drbg)
-        assert value.storage_bytes() == 8 * len(value.movements) + 32
+        # Width byte, two bytes per movement (|m| <= ka/2 = 200), tag.
+        assert value.storage_bytes() == 1 + 2 * len(value.movements) + 32

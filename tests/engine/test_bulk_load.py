@@ -1,19 +1,23 @@
-"""Bulk-load memory bound and validate-before-write-ahead regressions.
+"""Bulk-load memory bound, group decode parity and validate-before-
+write-ahead regressions.
 
 ``IdentificationEngine.add_many`` decodes helper data in fixed-size
 groups into one int32 matrix and validates it before the first journal
 write; ``add``, ``reenroll``, ``rotate`` and a follower's
 ``apply_replicated`` validate before theirs.  A refused record must
 leave the engine and its journal untouched, or the journal stops
-replaying.
+replaying.  The one-pass group decode must accept and refuse exactly
+the blobs ``HelperData.from_bytes`` does, one by one.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.core.extractor import HelperData
+from repro.core.extractor import HelperData, decode_movement_rows
 from repro.core.params import SystemParams
 from repro.core.index import _as_movement_matrix
 from repro.engine import IdentificationEngine
@@ -124,6 +128,113 @@ class TestChunkBoundaries:
                                       matrix.astype(np.int64), "sketches")
         assert widened.dtype == np.int32
         np.testing.assert_array_equal(widened, matrix)
+
+
+def _blob_by_blob(blobs: list[bytes], n: int):
+    """What :func:`decode_movement_rows` must match: the stack of
+    ``from_bytes`` results, or the first error in blob order."""
+    rows = []
+    for blob in blobs:
+        try:
+            movements = HelperData.from_bytes(blob).movements
+        except ParameterError as exc:
+            return str(exc)
+        if movements.shape != (n,):
+            return f"sketch must have shape ({n},), got {movements.shape}"
+        rows.append(movements.tolist())
+    return rows
+
+
+def _group_outcome(blobs: list[bytes], n: int):
+    try:
+        return decode_movement_rows(blobs, n).tolist()
+    except ParameterError as exc:
+        return str(exc)
+
+
+def _legacy_blob(movements, tag: bytes = b"", seed: bytes = b"") -> bytes:
+    body = np.asarray(movements, dtype=">i8").tobytes()
+    return b"".join([len(body).to_bytes(8, "big"), body,
+                     len(tag).to_bytes(2, "big"), tag,
+                     len(seed).to_bytes(2, "big"), seed])
+
+
+class TestGroupDecodeParity:
+    """The one-pass group decode accepts and refuses exactly what
+    ``HelperData.from_bytes`` blob by blob does."""
+
+    def test_uniform_group_takes_the_one_pass_path(self, paper_params,
+                                                   monkeypatch):
+        blobs = [r.helper_data for r in _uniform_records(paper_params, 9)]
+        calls = []
+        original = HelperData.from_bytes.__func__
+        monkeypatch.setattr(HelperData, "from_bytes", classmethod(
+            lambda cls, data: calls.append(1) or original(cls, data)))
+        rows = decode_movement_rows(blobs, paper_params.n)
+        assert len(calls) == 1  # the first blob only
+        monkeypatch.undo()
+        assert rows.tolist() == _blob_by_blob(blobs, paper_params.n)
+
+    def test_mixed_widths_layouts_and_headers(self):
+        rng = np.random.default_rng(5)
+        n = 8
+        blobs = []
+        for i in range(24):
+            scale = (100, 200, 40_000, 2 ** 40)[i % 4]
+            row = rng.integers(-scale, scale + 1, size=n)
+            tag = b"t" * (i % 3)
+            seed = b"s" * (2 - i % 3)  # same total length, other header
+            if i % 5 == 0:
+                blobs.append(_legacy_blob(row, tag, seed))
+            else:
+                blobs.append(HelperData(movements=row, tag=tag,
+                                        seed=seed).to_bytes())
+        expected = _blob_by_blob(blobs, n)
+        assert isinstance(expected, list)
+        assert _group_outcome(blobs, n) == expected
+
+    @pytest.mark.parametrize("bad", [
+        pytest.param(lambda row: b"\x02" + HelperData(
+            movements=row, tag=b"", seed=b"").to_bytes()[1:], id="layout"),
+        pytest.param(lambda row: HelperData(
+            movements=row, tag=b"", seed=b"").to_bytes()[:9] + b"\x03"
+            + HelperData(movements=row, tag=b"", seed=b"").to_bytes()[10:],
+            id="width-3"),
+        pytest.param(lambda row: b"\x01\x00\x00\x00\x00"
+            + (1 + 2 * row.size).to_bytes(4, "big") + b"\x02"
+            + (row % 100).astype(">i2").tobytes(), id="non-canonical"),
+        pytest.param(lambda row: b"\x01\x00\x00\x00\x00"
+            + (2 * row.size).to_bytes(4, "big") + b"\x02"
+            + row.astype(">i2").tobytes(), id="vector-length"),
+        pytest.param(lambda row: HelperData(
+            movements=row[:-1], tag=b"", seed=b"").to_bytes() + b"\x00\x00",
+            id="wrong-count"),
+    ])
+    @pytest.mark.parametrize("at", [0, 3, 7])
+    def test_a_bad_blob_anywhere_gives_the_blob_by_blob_error(self, bad, at):
+        n = 6
+        rows = np.random.default_rng(at).integers(-200, 201, size=(8, n))
+        rows[:, 0] = 200  # every row needs two bytes: a uniform group
+        blobs = [HelperData(movements=row, tag=b"", seed=b"").to_bytes()
+                 for row in rows]
+        blobs[at] = bad(rows[at])
+        expected = _blob_by_blob(blobs, n)
+        assert isinstance(expected, str)
+        assert _group_outcome(blobs, n) == expected
+
+    @given(st.lists(st.lists(st.integers(-200, 200), min_size=5,
+                             max_size=5), min_size=1, max_size=6),
+           st.integers(0, 10 ** 9), st.sampled_from([0x01, 0x80, 0xFF]))
+    def test_any_single_byte_mutation(self, rows, pick, flip):
+        rows = np.array(rows, dtype=np.int64)
+        rows[:, 0] = 200
+        blobs = [HelperData(movements=row, tag=b"tt", seed=b"s").to_bytes()
+                 for row in rows]
+        victim = pick % len(blobs)
+        mutated = bytearray(blobs[victim])
+        mutated[pick % len(mutated)] ^= flip
+        blobs[victim] = bytes(mutated)
+        assert _group_outcome(blobs, 5) == _blob_by_blob(blobs, 5)
 
 
 class TestInt64MinMovement:

@@ -62,6 +62,17 @@ def population(paper_params, rng):
     return records, templates, fe, make
 
 
+def _legacy_record(record: UserRecord) -> UserRecord:
+    """``record`` with its helper blob in the legacy int64 layout."""
+    helper = record.helper()
+    body = helper.movements.astype(">i8").tobytes()
+    blob = b"".join([len(body).to_bytes(8, "big"), body,
+                     len(helper.tag).to_bytes(2, "big"), helper.tag,
+                     len(helper.seed).to_bytes(2, "big"), helper.seed])
+    return UserRecord(user_id=record.user_id, verify_key=record.verify_key,
+                      helper_data=blob)
+
+
 def _probe(fe, params, template, rng):
     noisy = fe.sketcher.line.reduce(
         template + rng.integers(-params.t, params.t + 1, params.n))
@@ -404,10 +415,58 @@ class TestStoreCompatShim:
         probe = _probe(fe, paper_params, templates["user-0"], rng)
         assert [r.user_id for r in shimmed.find_by_sketch(probe)] == \
                ["user-0"]
-        # And it round-trips forward: a save writes the v2 layout.
+        # And it round-trips forward: a save writes the current layout.
         shimmed.save(store)
         assert (store / "status.bin").exists()
-        assert json.loads(manifest_path.read_text())["format"] == 2
+        assert json.loads(manifest_path.read_text())["format"] == 3
+
+    def test_legacy_helper_blobs_open_replay_and_identify(
+            self, tmp_path, paper_params, rng, population):
+        """A format-2 store and a journal whose records hold legacy
+        (int64) helper blobs open, replay and identify; the blobs are
+        served byte for byte, and the next save writes format 3."""
+        records, templates, fe, _ = population
+        legacy = [_legacy_record(record) for record in records]
+        assert all(r.helper_data[:1] == b"\x00" for r in legacy)
+        store = tmp_path / "store"
+        checkpoint = IdentificationEngine(paper_params, shards=2)
+        checkpoint.add_many(legacy[:2])
+        checkpoint.save(store)
+        checkpoint.close()
+        journaled = IdentificationEngine.open(store, journal=True)
+        for record in legacy[2:]:
+            journaled.add(record)
+        journaled.journal.close()
+        journaled.close()
+        manifest_path = store / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format"] = 2
+        manifest_path.write_text(json.dumps(manifest))
+
+        reopened = IdentificationEngine.open(store)
+        try:
+            assert len(reopened) == reopened.journal_seq() == len(legacy)
+            for record in legacy:
+                assert reopened.get(record.user_id) == record
+                template = templates[record.user_id]
+                probe = _probe(fe, paper_params, template, rng)
+                assert [r.user_id for r in reopened.find_by_sketch(probe)] \
+                    == [record.user_id]
+                compact = next(r for r in records
+                               if r.user_id == record.user_id)
+                assert fe.reproduce(template, record.helper()) == \
+                    fe.reproduce(template, compact.helper())
+            reopened.save(store)
+            assert json.loads(manifest_path.read_text())["format"] == 3
+        finally:
+            reopened.journal.close()
+            reopened.close()
+        again = IdentificationEngine.open(store)
+        try:
+            assert [again.get(r.user_id) for r in legacy] == legacy
+        finally:
+            again.journal.close()
+            again.close()
 
 
 class TestJournalModePersistence:

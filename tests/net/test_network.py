@@ -28,6 +28,7 @@ from repro.protocols.device import BiometricDevice
 from repro.protocols.messages import (
     EnrollmentAck,
     ErrorReply,
+    IdentificationChallenge,
     IdentificationRequest,
     Message,
 )
@@ -371,7 +372,7 @@ class TestRobustness:
                                              population, watchdog):
         _, server, device = _build_stack(
             net_params, fast_scheme, population, b"oversize")
-        with NetworkServer(server, max_frame=96) as net:
+        with NetworkServer(server, max_frame=64) as net:
             host, port = net.address
             with NetworkClient(host, port) as client:
                 # The server refuses the frame on its length prefix and
@@ -379,6 +380,23 @@ class TestRobustness:
                 with pytest.raises(ProtocolError, match="frame"):
                     client.request(device.probe_sketch(
                         population.genuine_reading(0)))
+
+    @pytest.mark.parametrize("reply,code", [
+        (ErrorReply(code="overload", detail="x" * 200), "overload"),
+        (IdentificationChallenge(helper_data=b"P" * 200, challenge=b"c",
+                                 session_id=b"s"), "protocol"),
+    ], ids=["error-reply", "other-reply"])
+    def test_reply_over_a_tight_cap_is_a_trimmed_error_frame(
+            self, net_params, fast_scheme, population, reply, code):
+        _, server, _ = _build_stack(net_params, fast_scheme, population,
+                                    b"tight-cap")
+        net = NetworkServer(server, max_frame=64)
+        buffers = net._frame_reply(reply)
+        frame = b"".join(buffers[1:])
+        assert len(frame) <= 64
+        trimmed = Message.decode(frame)
+        assert isinstance(trimmed, ErrorReply) and trimmed.code == code
+        assert trimmed.detail
 
     def test_internal_handler_error_answers_typed_frame(
             self, net_params, fast_scheme, watchdog):

@@ -110,7 +110,9 @@ class TestSketchVector:
         assert np.array_equal(decoded.sketch, sketch)
 
     def test_wire_size_is_linear_in_dimension(self):
-        small = IdentificationRequest(sketch=np.zeros(10, dtype=np.int64))
-        large = IdentificationRequest(sketch=np.zeros(1000, dtype=np.int64))
-        overhead = len(small.encode()) - 10 * 8
-        assert len(large.encode()) == 1000 * 8 + overhead
+        # Movements up to ka/2 = 200 travel at two bytes each.
+        small = IdentificationRequest(sketch=np.full(10, 200, dtype=np.int64))
+        large = IdentificationRequest(sketch=np.full(1000, -200,
+                                                     dtype=np.int64))
+        overhead = len(small.encode()) - 10 * 2
+        assert len(large.encode()) == 1000 * 2 + overhead

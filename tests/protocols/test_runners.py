@@ -84,8 +84,9 @@ class TestIdentification:
         device, server = stack
         run = run_identification(device, server, DuplexLink(),
                                  population.genuine_reading(0))
-        # sketch (n*8) + helper (~n*8) dominate the wire cost.
-        assert run.wire_bytes > 2 * params.n * 8
+        # sketch (n*2) + helper (~n*2) dominate the wire cost: two bytes
+        # per coordinate (|m| <= ka/2 = 200), not the int64 form's eight.
+        assert 2 * params.n * 2 < run.wire_bytes < 2 * params.n * 8
         assert run.messages == 4
         assert run.simulated_latency_s > 0
 
@@ -206,7 +207,7 @@ class TestBaselineIdentification:
         device, server = stack
         run = run_baseline_identification(device, server, DuplexLink(),
                                           population.genuine_reading(0))
-        assert run.wire_bytes > 8 * params.n * 8  # 8 users x helper size
+        assert run.wire_bytes > 8 * params.n * 2  # 8 users x helper size
 
     def test_costs_more_than_proposed(self, stack, population):
         device, server = stack

@@ -225,9 +225,9 @@ class TestFieldErrorWrapping:
             Message.decode(frame)
 
     def test_ragged_int_vector_chunk(self):
-        # 13 bytes is not a multiple of the 8-byte coordinate width.
+        # A 13-byte body is not a multiple of the declared 2-byte width.
         frame = IdentificationRequest.TYPE_TAG.to_bytes(2, "big") + \
-            _pack_chunks([b"\x00" * 13])
+            _pack_chunks([b"\x02" + b"\x00" * 13])
         with pytest.raises(ProtocolError, match="malformed field"):
             Message.decode(frame)
 
@@ -237,3 +237,53 @@ class TestFieldErrorWrapping:
         with pytest.raises(ProtocolError) as excinfo:
             Message.decode(frame)
         assert "malformed field" not in str(excinfo.value)
+
+
+def _sketch_frame(chunk: bytes) -> bytes:
+    return IdentificationRequest.TYPE_TAG.to_bytes(2, "big") + \
+        _pack_chunks([chunk])
+
+
+class TestCompactSketchField:
+    """The probe sketch travels in the compact int-vector form; no
+    tampered frame may decode to the vector that was sent."""
+
+    def test_every_single_byte_mutation(self):
+        """At the bench parameters (n=128, |m| <= ka/2 = 200): each
+        mutated byte either fails as ProtocolError or decodes to a
+        message that is not the original sketch."""
+        rng = np.random.default_rng(128)
+        sketch = rng.integers(-200, 201, size=128, dtype=np.int64)
+        wire = IdentificationRequest(sketch=sketch).encode()
+        assert len(wire) == 2 + 8 + 1 + 2 * 128
+        for pos in range(len(wire)):
+            for flip in (0x01, 0x80, 0xFF):
+                mutated = bytearray(wire)
+                mutated[pos] ^= flip
+                try:
+                    decoded = Message.decode(bytes(mutated))
+                except ProtocolError:
+                    continue
+                assert not (isinstance(decoded, IdentificationRequest)
+                            and np.array_equal(decoded.sketch, sketch)), \
+                    f"mutation at byte {pos} decoded to the sent sketch"
+
+    @pytest.mark.parametrize("chunk", [
+        b"\x00" + b"\x00" * 8,                 # width 0
+        b"\x03" + b"\x00" * 9,                 # width 3
+        b"\x09" + b"\x00" * 9,                 # width 9
+        b"\x04" + b"\x00" * 7,                 # ragged body
+        b"\x02" + b"\x00\x05\xff\x80\x00\x7f",   # int8 values at width 2
+        b"\x08" + (300).to_bytes(8, "big")
+        + (-300).to_bytes(8, "big", signed=True),  # int16 values at width 8
+        b"",                                    # no width byte
+    ], ids=["w0", "w3", "w9", "ragged", "w2-int8", "w8-int16", "empty"])
+    def test_non_canonical_chunk_refused(self, chunk):
+        with pytest.raises(ProtocolError, match="malformed field"):
+            Message.decode(_sketch_frame(chunk))
+
+    def test_sketch_chunk_is_two_bytes_per_coordinate(self):
+        sketch = np.array([200, -200, 129, 0], dtype=np.int64)
+        wire = IdentificationRequest(sketch=sketch).encode()
+        assert wire == _sketch_frame(
+            b"\x02" + sketch.astype(">i2").tobytes())
