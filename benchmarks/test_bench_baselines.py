@@ -24,10 +24,10 @@ from repro.baselines.fuzzy_vault import FuzzyVault
 from repro.baselines.hamming_extractor import HammingFuzzyExtractor
 from repro.coding.bch import BchCode
 from repro.core.extractor import SuccinctFuzzyExtractor
-from repro.core.index import VectorizedScanIndex
 from repro.core.params import SystemParams
 from repro.core.sketch import ChebyshevSketch
 from repro.crypto.prng import HmacDrbg
+from repro.engine.sharded import ShardedSketchIndex
 from repro.exceptions import RecoveryError
 
 N_USERS = 50
@@ -170,7 +170,7 @@ class TestIdentificationGap:
         # The proposed scheme's search over the same population size.
         params = SystemParams.paper_defaults(n=2000)
         sketcher = ChebyshevSketch(params)
-        index = VectorizedScanIndex(params)
+        index = ShardedSketchIndex(params, shards=1)
         rng = np.random.default_rng(7)
         last_template = None
         for i in range(N_USERS):

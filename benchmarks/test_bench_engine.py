@@ -4,14 +4,15 @@ The engine exists so protocol layers stop looping Python-side per
 request.  This bench quantifies what that buys at serving-shaped database
 sizes (N = 10k and 100k sketches), comparing:
 
-* ``loop``    — B independent ``VectorizedScanIndex.search`` calls,
-* ``batch``   — one ``search_batch`` bitmask-LUT pass,
+* ``loop``    — B independent ``search`` calls on one shard (each a
+  batch of one),
+* ``batch``   — one ``search_batch`` bitmask-LUT pass on one shard,
 * ``sharded`` — one ``ShardedSketchIndex.search_batch`` across 4 shards,
 
 and asserts the acceptance floor: batch throughput >= 5x the
 single-probe loop at N = 100k.  The workload uses a bench-sized dimension
-(n = 128) so the 100k matrix stays ~50 MB; the kernels' relative cost is
-dimension-independent once past the first pruning chunk.
+(n = 128) so the 100k int16 index stays ~26 MB; the kernels' relative
+cost is dimension-independent once past the first pruning chunk.
 
 Set ``REPRO_BENCH_SMOKE=1`` (the CI bench-smoke job does) to run the
 same assertions at reduced database sizes.
@@ -25,7 +26,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.index import VectorizedScanIndex
 from repro.core.params import SystemParams
 from repro.engine.sharded import ShardedSketchIndex
 
@@ -61,7 +61,7 @@ def _build(n_records: int):
         return _built[n_records]
     params = SystemParams.paper_defaults(n=DIMENSION)
     matrix, probes = _workload(params, n_records, seed=2017)
-    flat = VectorizedScanIndex(params, capacity=n_records)
+    flat = ShardedSketchIndex(params, shards=1)
     flat.add_many(matrix)
     sharded = ShardedSketchIndex(params, shards=4)
     sharded.add_many(matrix)

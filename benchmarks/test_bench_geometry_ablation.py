@@ -28,10 +28,11 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.index import PrefixBucketIndex, VectorizedScanIndex
+from repro.core.index import PrefixBucketIndex
 from repro.core.params import SystemParams
 from repro.core.sketch import ChebyshevSketch
 from repro.crypto.prng import HmacDrbg
+from repro.engine.sharded import ShardedSketchIndex
 
 K_VALUES = [2, 4, 8, 16]
 UNIT = 100
@@ -117,7 +118,7 @@ def test_bench_scan_by_geometry(benchmark, k):
     params = _params_for_k(k)
     sketcher = ChebyshevSketch(params)
     rng = np.random.default_rng(2)
-    index = VectorizedScanIndex(params)
+    index = ShardedSketchIndex(params, shards=1)
     for i in range(N_USERS):
         index.add(sketcher.sketch(sketcher.line.uniform_vector(rng),
                                   HmacDrbg(i.to_bytes(4, "big"))))

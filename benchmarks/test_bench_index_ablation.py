@@ -26,10 +26,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.index import NaiveLoopIndex, PrefixBucketIndex, VectorizedScanIndex
+from repro.core.index import NaiveLoopIndex, PrefixBucketIndex
 from repro.core.params import SystemParams
 from repro.core.sketch import ChebyshevSketch
 from repro.crypto.prng import HmacDrbg
+from repro.engine.sharded import ShardedSketchIndex
 
 DIMENSION = 1000
 DB_SIZES = [100, 1000, 5000]
@@ -46,7 +47,7 @@ def _build(index_kind: str, n_users: int):
     rng = np.random.default_rng(42)
     factory = {
         "naive": lambda p: NaiveLoopIndex(p),
-        "scan": lambda p: VectorizedScanIndex(p),
+        "scan": lambda p: ShardedSketchIndex(p, shards=1),
         "prefix": lambda p: PrefixBucketIndex(p, depth=8),
     }[index_kind]
     index = factory(params)

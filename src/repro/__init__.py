@@ -70,7 +70,6 @@ from repro.core import (
     RobustChebyshevSketch,
     SuccinctFuzzyExtractor,
     SystemParams,
-    VectorizedScanIndex,
     sketches_match,
 )
 from repro.engine import EngineStats, IdentificationEngine, ShardedSketchIndex
@@ -97,7 +96,6 @@ __all__ = [
     "RobustChebyshevSketch",
     "SuccinctFuzzyExtractor",
     "SystemParams",
-    "VectorizedScanIndex",
     "sketches_match",
     "EngineStats",
     "IdentificationEngine",

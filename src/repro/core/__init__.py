@@ -9,14 +9,14 @@ Layering (bottom-up):
 * :mod:`repro.core.robust` — the Boyen et al. robustness transform;
 * :mod:`repro.core.extractor` — the fuzzy extractor ``(Gen, Rep)``;
 * :mod:`repro.core.matching` — conditions (1)-(4) for sketch comparison;
-* :mod:`repro.core.index` — the server-side search structures.
+* :mod:`repro.core.index` — the server-side scan kernels and reference
+  search structures.
 """
 
 from repro.core.extractor import HelperData, SuccinctFuzzyExtractor
 from repro.core.index import (
     NaiveLoopIndex,
     PrefixBucketIndex,
-    VectorizedScanIndex,
     batch_match_rows,
 )
 from repro.core.matching import (
@@ -35,7 +35,6 @@ __all__ = [
     "SuccinctFuzzyExtractor",
     "NaiveLoopIndex",
     "PrefixBucketIndex",
-    "VectorizedScanIndex",
     "batch_match_rows",
     "match_matrix",
     "ring_distance_ka",

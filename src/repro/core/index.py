@@ -1,4 +1,4 @@
-"""Server-side sketch search structures (the paper's "pre-computations").
+"""Server-side sketch search kernels (the paper's "pre-computations").
 
 The identification protocol (Fig. 3) replaces per-record public-key work
 with a comparison of *public sketches*.  The paper remarks that the
@@ -7,19 +7,31 @@ server only needs to check whether s'_i is in the specific range", and
 reports near-constant identification time because the remaining cost — one
 ``Rep`` plus one signature round — does not grow with the database.
 
-Two search structures are provided:
+The production index is :class:`repro.engine.sharded.ShardedSketchIndex`
+(``shards=1`` is the flat index).  Each of its shards stores the enrolled
+sketches **coordinate-major**: one ``(n, N)`` array whose row ``c`` holds
+coordinate ``c`` of every enrolled sketch as one contiguous run, at
+:func:`movement_dtype` (int16 at every practical ``ka``).  This module
+holds the kernels it scans with:
 
-* :class:`VectorizedScanIndex` — the production default.  Enrolled
-  sketches are packed into an ``(N, n)`` int32 matrix; a probe is checked
-  column-chunk by column-chunk, dropping non-matching rows after every
-  chunk.  For independent templates a random record survives one
-  coordinate with probability ``≈ (2t+1)/ka`` (0.5 at paper parameters),
-  so the expected number of *matrix elements* touched is ``N * O(1)`` —
-  ~20 ns per record for a batch of 1-3 probes at paper parameters,
-  orders of magnitude below the signature that follows.  This is the
-  honest implementation of the paper's "constant": the scan is
-  asymptotically linear but its constant is negligible at any realistic
-  database size (quantified in ``benchmarks/test_bench_index_ablation.py``).
+* :func:`batch_match_rows` — evaluate a ``(B, n)`` probe matrix against
+  an ``(n, N)`` sketch array in one pass.  Probes are processed in groups
+  of up to 64; for every coordinate a small lookup table maps each of the
+  ``ka`` ring positions to a 64-bit mask of the probes it satisfies, so
+  one gather + one AND per enrolled value tests it against *all* probes
+  in the group at once.  The tables (:class:`BatchLuts`) are built once
+  per batch, not per shard, and only for the coordinate chunks a scan
+  reaches; they are indexed with the raw movement: it lies
+  in ``[-ka/2, ka/2]``, where numpy's negative index ``v`` reads entry
+  ``ka + v = v % ka``.  Surviving rows are compacted after every
+  coordinate chunk: for independent templates a random record survives
+  one coordinate with probability ``≈ (2t+1)/ka`` (0.5 at paper
+  parameters), so the default chunk of 8 prunes ~256x before the second
+  chunk runs and the scan touches ``~N * chunk`` values.  The short tail
+  is verified per probe, and small arrays (:func:`uses_luts`) are
+  scanned per probe throughout.  A single probe is a batch of one.
+
+Two reference structures remain:
 
 * :class:`PrefixBucketIndex` — a sub-linear candidate index.  Each of the
   first ``depth`` coordinates is quantised into ring buckets of width
@@ -30,32 +42,19 @@ Two search structures are provided:
   ``t/ka = 1/4`` it needs a deep prefix, which the ablation bench
   explores.
 
-Both return *candidate row ids whose full sketch satisfies the
-conditions*; ties (multiple matches) are returned in enrollment order and
-resolved by the protocol layer's challenge-response.
+* :class:`NaiveLoopIndex` — the per-record pure-Python loop, the oracle
+  every other search is tested against.
 
-This module also hosts the **batch kernels** the scale-out engine
-(:mod:`repro.engine`) is built on:
-
-* :func:`batch_match_rows` — evaluate a ``(B, n)`` probe matrix against an
-  ``(N, n)`` sketch matrix in one pass.  Probes are processed in groups of
-  up to 64; for every coordinate a small lookup table maps each of the
-  ``ka`` ring positions to a 64-bit mask of the probes it satisfies, so
-  one gather + one AND per matrix cell tests a cell against *all* probes
-  in the group at once.  The tables (:func:`group_luts`) are built once
-  per batch, not per shard, and indexed with the raw movement: it lies
-  in ``[-ka/2, ka/2]``, where numpy's negative index ``v`` reads entry
-  ``ka + v = v % ka``.  Surviving rows are compacted after every
-  coordinate chunk (the same early-abort pruning the scan uses), and the
-  short tail is verified per probe.  This amortises the scan across the
-  batch: ~``B``-fold less element work than looping :meth:`search`.
-
-* ``add_many`` on every index — bulk insertion as a single validated
-  ``asarray`` + one matrix write, used by the store loaders so a restart
-  does not pay a Python call per enrolled user.
+All return *row ids whose full sketch satisfies the conditions*; ties
+(multiple matches) are returned in enrollment order and resolved by the
+protocol layer's challenge-response.  ``add_many`` bulk-inserts a
+validated stack in one write, so a store loader does not pay a Python
+call per enrolled user.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -118,47 +117,59 @@ def _as_sketch_matrix(params: SystemParams, matrix: IntArray,
 
 def _as_movement_matrix(params: SystemParams, matrix: IntArray,
                         what: str) -> np.ndarray:
-    """Validate a stack of movement vectors -> ``(B, n)`` int32 array.
+    """Validate a stack of movement vectors -> ``(B, n)`` int16/int32 array.
 
-    Shape rules of :func:`_as_sketch_matrix` plus the scan indexes'
-    ``[-ka/2, ka/2]`` range invariant.  An int32 input is checked in
-    place and returned without a copy.  The range test compares the
-    extremes, not ``abs``: ``abs(-2**63)`` is still negative.
+    Shape rules of :func:`_as_sketch_matrix` plus the scan index's
+    ``[-ka/2, ka/2]`` range invariant.  An int16 or int32 input is
+    checked in place and returned without a copy; anything else is
+    narrowed to int32.  The range test compares the extremes, not
+    ``abs``: ``abs(-2**63)`` is still negative.
     """
     arr = np.asarray(matrix)
-    if arr.dtype != np.int32 or arr.ndim != 2 or arr.shape[1] != params.n:
+    if (arr.dtype not in (np.int16, np.int32) or arr.ndim != 2
+            or arr.shape[1] != params.n):
         arr = _as_sketch_matrix(params, arr, what)
     half = params.interval_width // 2
     if arr.size and (int(arr.min()) < -half or int(arr.max()) > half):
         raise ParameterError(
             f"{what} movements must lie in [-{half}, {half}]"
         )
-    return arr.astype(np.int32, copy=False)
+    return arr if arr.dtype != np.int64 else arr.astype(np.int32)
 
 
-def _scan_survivors(matrix: np.ndarray, probe: np.ndarray, ka: int, t: int,
+def movement_dtype(params: SystemParams) -> np.dtype:
+    """The scan index's storage dtype: int16 when every movement in
+    ``[-ka/2, ka/2]`` fits it (``ka // 2 <= 32767``), else int32."""
+    if params.interval_width // 2 <= np.iinfo(np.int16).max:
+        return np.dtype(np.int16)
+    return np.dtype(np.int32)
+
+
+def _scan_survivors(columns: np.ndarray, probe: np.ndarray, ka: int, t: int,
                     chunk: int, survivors: np.ndarray | None = None,
                     start: int = 0) -> np.ndarray:
     """Chunked early-abort scan; returns surviving row indices (sorted).
 
-    ``matrix`` is ``(N, n)`` int32 with movements in ``[-ka/2, ka/2]``
-    (memmap-backed matrices are fine); ``survivors``/``start`` allow
-    resuming a partially pruned scan, which the batch kernel uses for its
-    per-probe tail verification.
+    ``columns`` is the coordinate-major ``(n, N)`` sketch array and
+    ``probe`` an ``(n,)`` int32 vector, both with movements in
+    ``[-ka/2, ka/2]``; ``survivors``/``start`` resume a partially pruned
+    scan, which is how the batch kernel verifies its LUT survivors.
+    Arithmetic stays in int32 without a modular reduction: ``|s - p| <=
+    ka``, so the ring distance is simply ``min(d, ka - d)``.
     """
-    n = matrix.shape[1]
+    n = columns.shape[0]
     ka32 = np.int32(ka)
     t32 = np.int32(t)
     while start < n:
         few = survivors is not None and survivors.size <= _FINISH_THRESHOLD
         stop = n if few else min(start + chunk, n)
         if survivors is None:
-            block = matrix[:, start:stop]
+            block = columns[start:stop]
         else:
-            block = matrix[survivors, start:stop]
-        diff = np.abs(block - probe[start:stop].astype(np.int32))
+            block = columns[start:stop, survivors]
+        diff = np.abs(block - probe[start:stop, None])
         ring = np.minimum(diff, ka32 - diff)
-        alive = np.all(ring <= t32, axis=1)
+        alive = np.all(ring <= t32, axis=0)
         if survivors is None:
             survivors = np.nonzero(alive)[0]
         else:
@@ -167,31 +178,56 @@ def _scan_survivors(matrix: np.ndarray, probe: np.ndarray, ka: int, t: int,
             return survivors
         start = stop
     if survivors is None:  # zero-width scan over every row
-        survivors = np.arange(matrix.shape[0], dtype=np.intp)
+        survivors = np.arange(columns.shape[1], dtype=np.intp)
     return survivors
 
 
-def group_luts(probes: np.ndarray, ka: int, t: int) -> list[np.ndarray]:
-    """Bitmask LUTs of a probe batch: one ``(n, ka)`` uint64 table per 64.
+def group_lut(group: np.ndarray, ka: int, t: int) -> np.ndarray:
+    """Bitmask LUT of up to 64 probes: one ``(n, ka)`` uint64 table.
 
     Row ``c`` maps each ring position to the probes (bit ``b``) within
     ring distance ``t`` on coordinate ``c``, the interval ``[p-t, p+t]``:
     bits toggled at both ends on a doubled axis, prefix-XORed, and the
-    halves OR-ed to fold the wrap, ``O(n * ka)`` per group.
+    halves OR-ed to fold the wrap, ``O(n * ka)``.
     """
     span = min(2 * t + 1, ka)
-    cols = np.arange(probes.shape[1])[:, None]
-    tables = []
-    for g0 in range(0, probes.shape[0], 64):
-        group = probes[g0:g0 + 64]
-        bits = np.uint64(1) << np.arange(group.shape[0], dtype=np.uint64)
-        low = (group.T.astype(np.int64) - t) % ka            # (n, Bg)
-        edges = np.zeros((cols.size, 2 * ka), dtype=np.uint64)
-        np.bitwise_xor.at(edges, (cols, low), bits)
-        np.bitwise_xor.at(edges, (cols, low + span), bits)
-        spans = np.bitwise_xor.accumulate(edges, axis=1)
-        tables.append(spans[:, :ka] | spans[:, ka:])
-    return tables
+    cols = np.arange(group.shape[1])[:, None]
+    bits = np.uint64(1) << np.arange(group.shape[0], dtype=np.uint64)
+    low = (group.T.astype(np.int64) - t) % ka                # (n, B)
+    edges = np.zeros((cols.size, 2 * ka), dtype=np.uint64)
+    np.bitwise_xor.at(edges, (cols, low), bits)
+    np.bitwise_xor.at(edges, (cols, low + span), bits)
+    spans = np.bitwise_xor.accumulate(edges, axis=1)
+    return spans[:, :ka] | spans[:, ka:]
+
+
+class BatchLuts:
+    """The bitmask LUTs of one probe batch, built a chunk at a time.
+
+    One instance serves every shard a batch scans.  The table of probe
+    group ``g0`` (64 probes) over coordinates ``[start, stop)`` is built
+    on first use, under a lock, so it is built once per batch however
+    many shards or threads read it.  A scan that prunes its rows within
+    the first chunk never builds the rest, which at large ``n`` is
+    almost all of the ``O(n * ka)`` build.
+    """
+
+    def __init__(self, probes: np.ndarray, ka: int, t: int) -> None:
+        self._probes = probes
+        self._ka = ka
+        self._t = t
+        self._tables: dict[tuple[int, int, int], np.ndarray] = {}
+        self._lock = threading.Lock()
+
+    def table(self, g0: int, start: int, stop: int) -> np.ndarray:
+        """The ``(stop - start, ka)`` table of probes ``g0 .. g0 + 63``."""
+        key = (g0, start, stop)
+        with self._lock:
+            table = self._tables.get(key)
+            if table is None:
+                table = self._tables[key] = group_lut(
+                    self._probes[g0:g0 + 64, start:stop], self._ka, self._t)
+        return table
 
 
 def uses_luts(n_rows: int, ka: int,
@@ -201,144 +237,59 @@ def uses_luts(n_rows: int, ka: int,
             and ka <= _LUT_ROWS_FACTOR * n_rows)
 
 
-def batch_match_rows(matrix: np.ndarray, probes: np.ndarray, ka: int, t: int,
+def batch_match_rows(columns: np.ndarray, probes: np.ndarray, ka: int, t: int,
                      chunk: int = 8, pair_threshold: int = PAIR_THRESHOLD,
-                     luts: list | None = None) -> list[np.ndarray]:
-    """Row ids matching each probe: the engine's vectorised batch kernel.
+                     luts: BatchLuts | None = None) -> list[np.ndarray]:
+    """Row ids matching each probe: the scan index's one kernel.
 
-    ``matrix`` is ``(N, n)`` int32 and ``probes`` ``(B, n)``, both with
-    movements in ``[-ka/2, ka/2]`` (callers validate); returns ``B``
-    sorted int arrays of row indices whose full sketch is within ring
-    distance ``t`` of the probe on every coordinate.  Equivalent to —
-    and property-tested against — ``B`` independent ``search`` calls.
+    ``columns`` is the coordinate-major ``(n, N)`` sketch array (int16 or
+    int32) and ``probes`` ``(B, n)``, both with movements in
+    ``[-ka/2, ka/2]`` (callers validate); returns ``B`` sorted int arrays
+    of row indices whose full sketch is within ring distance ``t`` of the
+    probe on every coordinate.
 
-    ``luts`` (the :func:`group_luts` of ``probes``) are built here unless
-    passed in, as one sharded batch does.  They are indexed with the raw
-    movement: numpy reads a negative ``v >= -ka/2`` as ``ka + v``, i.e.
-    ``v % ka``, so no reduction pass runs.  While more than
-    ``pair_threshold`` rows survive, each coordinate chunk is copied once
-    as a block and survivors compacted; per-probe tail verification does
-    the rest, or all of it when :func:`uses_luts` says no.
+    ``luts`` (the :class:`BatchLuts` of ``probes``) is made here unless
+    passed in, as one sharded batch does.  Its tables are indexed with the
+    raw movement: numpy reads a negative ``v >= -ka/2`` as ``ka + v``,
+    i.e. ``v % ka``, so no reduction pass runs.  While more than
+    ``pair_threshold`` rows survive, each coordinate's contiguous run (or
+    its survivors) is gathered straight through the table, and survivors
+    are compacted after every chunk; per-probe tail verification does the
+    rest, or all of it when :func:`uses_luts` says no.
     """
-    n_cols = matrix.shape[1]
+    n_cols = columns.shape[0]
     results: list[np.ndarray] = []
-    use_lut = uses_luts(matrix.shape[0], ka, pair_threshold)
+    use_lut = uses_luts(columns.shape[1], ka, pair_threshold)
     if use_lut and luts is None:
-        luts = group_luts(probes, ka, t)
+        luts = BatchLuts(probes, ka, t)
     for g0 in range(0, probes.shape[0], 64):
-        group = probes[g0:g0 + 64]
-        rows: slice | np.ndarray = slice(None)  # every row, no index array
+        group = probes[g0:g0 + 64].astype(np.int32)
+        rows = None  # every row, no index array
         acc = None
         start = 0
         while use_lut and start < n_cols and (
                 acc is None or acc.size > pair_threshold):
-            lut = luts[g0 // 64]
             stop = min(start + chunk, n_cols)
-            # One pass over the chunk's cache lines, not one per column.
-            block = np.ascontiguousarray(matrix[rows, start:stop])
+            lut = luts.table(g0, start, stop)
             for c in range(start, stop):
-                cell = lut[c][block[:, c - start]]
+                col = columns[c] if rows is None else columns[c][rows]
+                # An intp index gathers several times faster than int16.
+                cell = lut[c - start][col.astype(np.intp)]
                 acc = cell if acc is None else np.bitwise_and(acc, cell,
                                                               out=acc)
-            keep = np.flatnonzero(acc)
-            rows = keep if start == 0 else rows[keep]
+            keep = np.nonzero(acc != 0)[0]  # faster than flatnonzero(uint64)
+            rows = keep if rows is None else rows[keep]
             acc = acc[keep]
             start = stop
         for b in range(group.shape[0]):
-            # Resume from the LUT survivors, or scan from scratch (views).
+            # Resume from the LUT survivors, or scan from scratch.
             alive = rows[(acc >> np.uint64(b)) & np.uint64(1) == 1] \
                 if start else None
             results.append(np.sort(_scan_survivors(
-                matrix, group[b].astype(np.int32), ka, t, chunk,
-                survivors=alive, start=start,
+                columns, group[b], ka, t, chunk, survivors=alive,
+                start=start,
             )))
     return results
-
-
-class VectorizedScanIndex:
-    """Chunked early-abort scan over an ``(N, n)`` sketch matrix.
-
-    Arithmetic stays in int32 without modular reduction: stored movements
-    and probes both live in ``[-ka/2, ka/2]`` (validated on insertion and
-    search), so ``|s - s'| <= ka`` and the ring distance is simply
-    ``min(d, ka - d)``.  The default chunk of 8 coordinates prunes the
-    candidate set by ``((2t+1)/ka)^8`` (~256x at paper parameters) before
-    the second chunk runs, so the scan touches ~``N * chunk`` matrix cells
-    total.
-    """
-
-    def __init__(self, params: SystemParams, chunk: int = 8,
-                 capacity: int = 1024) -> None:
-        if chunk < 1:
-            raise ParameterError("chunk must be >= 1")
-        self.params = params
-        self.chunk = chunk
-        self._matrix = np.empty((capacity, params.n), dtype=np.int32)
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    def _reserve(self, extra: int) -> None:
-        """Grow the backing matrix so ``extra`` more rows fit."""
-        needed = self._count + extra
-        capacity = max(self._matrix.shape[0], 1)
-        if needed <= self._matrix.shape[0]:
-            return
-        while capacity < needed:
-            capacity *= 2
-        grown = np.empty((capacity, self.params.n), dtype=np.int32)
-        grown[: self._count] = self._matrix[: self._count]
-        self._matrix = grown
-
-    def add(self, sketch: IntArray) -> int:
-        """Insert a sketch; returns its row id (enrollment order)."""
-        sketch = _as_movement_vector(self.params, sketch, "sketch")
-        self._reserve(1)
-        self._matrix[self._count] = sketch
-        self._count += 1
-        return self._count - 1
-
-    def add_many(self, sketches: IntArray) -> list[int]:
-        """Bulk-insert a ``(B, n)`` stack of sketches; returns their row ids.
-
-        One validated ``asarray`` and one matrix write — no per-row Python
-        overhead; equivalent to ``[self.add(s) for s in sketches]``.
-        """
-        block = _as_movement_matrix(self.params, sketches, "sketches")
-        self._reserve(block.shape[0])
-        self._matrix[self._count: self._count + block.shape[0]] = block
-        first = self._count
-        self._count += block.shape[0]
-        return list(range(first, self._count))
-
-    def search(self, probe: IntArray) -> list[int]:
-        """Row ids of all enrolled sketches matching ``probe``."""
-        probe = _as_movement_vector(self.params, probe, "probe")
-        if self._count == 0:
-            return []
-        survivors = _scan_survivors(
-            self._matrix[: self._count], probe,
-            self.params.interval_width, self.params.t,
-            self.chunk,
-        )
-        return survivors.tolist()
-
-    def search_batch(self, probes: IntArray) -> list[list[int]]:
-        """Row ids matching each row of a ``(B, n)`` probe matrix.
-
-        One vectorised pass (:func:`batch_match_rows`) instead of ``B``
-        :meth:`search` calls; the returned lists are identical to the
-        per-probe results.
-        """
-        probes = _as_movement_matrix(self.params, probes, "probes")
-        if self._count == 0:
-            return [[] for _ in range(probes.shape[0])]
-        rows = batch_match_rows(
-            self._matrix[: self._count], probes,
-            self.params.interval_width, self.params.t, self.chunk,
-        )
-        return [r.tolist() for r in rows]
 
 
 class PrefixBucketIndex:

@@ -102,8 +102,9 @@ def match_matrix(enrolled: np.ndarray, probe: IntArray,
 
     ``enrolled`` is an ``(N, n)`` matrix of sketch vectors; returns a
     boolean array of length ``N``.  This is the reference one-shot
-    implementation; :class:`repro.core.index.VectorizedScanIndex` adds
-    chunked early-abort on top for the protocol hot path.
+    implementation; :func:`repro.core.index.batch_match_rows` adds
+    lookup tables and chunked early-abort on top for the protocol hot
+    path.
     """
     enrolled = np.asarray(enrolled, dtype=np.int64)
     if enrolled.ndim != 2:

@@ -4,7 +4,8 @@ The core layer answers "does this probe match these sketches"; this layer
 answers it *at service scale*.  Layering (bottom-up):
 
 * :mod:`repro.engine.sharded` — :class:`ShardedSketchIndex`, hash-partitioned
-  sketch search with batch kernels and an optional worker pool;
+  sketch search over coordinate-major int16 shards, one batch kernel and
+  an optional worker pool;
 * :mod:`repro.engine.lifecycle` — the versioned identity vocabulary:
   per-version status codes (active / verify-only / superseded /
   revoked), typed journal-entry opcodes (enroll / re-enroll / rotate /
@@ -13,7 +14,9 @@ answers it *at service scale*.  Layering (bottom-up):
   (O(1) open, lazy records).  Format v2 adds a ``status.bin`` sidecar
   (one status byte per row) and manifest lifecycle keys
   (``journal_seq``, ``journal``); v1 stores open unchanged through a
-  compatibility shim (all rows active, operation count = record count);
+  compatibility shim (all rows active, operation count = record count).
+  Format v4 stores each shard coordinate-major, as the scan reads it;
+  v1-v3 shard files are transposed into RAM at open;
 * :mod:`repro.engine.journal` — the crash-safe write-ahead log, in two
   entry formats: ``record`` (pre-lifecycle, bare record encodings) and
   ``typed`` (opcode-tagged lifecycle entries);

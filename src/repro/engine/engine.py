@@ -35,7 +35,7 @@ import numpy as np
 
 from repro import faults, obs
 from repro.core.extractor import decode_movement_rows
-from repro.core.index import _as_movement_matrix
+from repro.core.index import _as_movement_matrix, movement_dtype
 from repro.core.params import SystemParams
 from repro.crypto.signatures import VerifyTableCache
 from repro.engine.journal import EnrollmentJournal, journal_path
@@ -85,13 +85,14 @@ _BUCKET_EDGES_S = tuple(edge / 1e6 for edge in LATENCY_BUCKET_EDGES_US)
 
 #: Records decoded per step by :func:`_decode_movements`: one group's
 #: joined blobs and int64 rows are alive at a time, so a bulk load's
-#: transient stays a few MB above the int32 matrix it fills.
+#: transient stays a few MB above the matrix it fills.
 _DECODE_GROUP = 4096
 
 
 def _decode_movements(params: SystemParams,
                       records: list[UserRecord]) -> np.ndarray:
-    """Every record's movements as one validated ``(N, n)`` int32 matrix.
+    """Every record's movements as one validated ``(N, n)`` matrix, at the
+    index's :func:`~repro.core.index.movement_dtype`.
 
     Blobs are decoded ``_DECODE_GROUP`` at a time
     (:func:`~repro.core.extractor.decode_movement_rows`); each group is
@@ -100,7 +101,7 @@ def _decode_movements(params: SystemParams,
     the first bad record, so callers that decode before their write-ahead
     leave the engine and its journal untouched.
     """
-    matrix = np.empty((len(records), params.n), dtype=np.int32)
+    matrix = np.empty((len(records), params.n), dtype=movement_dtype(params))
     for start in range(0, len(records), _DECODE_GROUP):
         group = records[start: start + _DECODE_GROUP]
         rows = decode_movement_rows([record.helper_data for record in group],
@@ -362,7 +363,7 @@ class IdentificationEngine:
         """Bulk-enroll records with a single index write.
 
         Validates duplicates (against the store *and* within the batch),
-        then decodes every blob into one int32 matrix, checking shape and
+        then decodes every blob into one matrix, checking shape and
         range, before the first journal write-ahead or index change: a
         rejected batch leaves the engine and its journal unchanged.  The
         decode runs in fixed-size groups, so the call's peak memory is
@@ -867,12 +868,12 @@ class IdentificationEngine:
         Returns the number of sketch bytes resident after warming.
         """
         touched = 0
-        for matrix, row_ids in self._index.shard_parts():
-            if matrix.size:
-                np.sum(matrix, dtype=np.int64)  # forces every page in
+        for columns, row_ids in self._index.shard_parts():
+            if columns.size:
+                np.sum(columns, dtype=np.int64)  # forces every page in
             if row_ids.size:
                 np.sum(row_ids, dtype=np.int64)
-            touched += matrix.nbytes + row_ids.nbytes
+            touched += columns.nbytes + row_ids.nbytes
         self._warmed = True
         return touched
 

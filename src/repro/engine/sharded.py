@@ -1,21 +1,28 @@
 """Hash-partitioned sketch search across a pool of shards.
 
-:class:`ShardedSketchIndex` splits the enrolled sketch matrix into ``W``
-shards by a deterministic content hash of each sketch, searches every
-shard with the same chunked early-abort kernels the single-matrix
-:class:`~repro.core.index.VectorizedScanIndex` uses, and merges shard-local
-hits back into global enrollment-order row ids.  Results are bit-for-bit
-identical to the flat indexes (property-tested in
-``tests/engine/test_sharded.py``); sharding buys three things:
+:class:`ShardedSketchIndex` is the scan index: it splits the enrolled
+sketches into ``W`` shards by a deterministic content hash of each
+sketch, scans every shard with the one batch kernel
+:func:`~repro.core.index.batch_match_rows`, and merges shard-local hits
+back into global enrollment-order row ids.  ``shards=1`` is the flat
+index, and a single-probe :meth:`~ShardedSketchIndex.search` is a batch
+of one.  Results are bit-for-bit identical to the naive per-record loop
+(property-tested in ``tests/engine/test_sharded.py``).
+
+Each shard is **scan-shaped**: one coordinate-major ``(n, count)`` array
+at :func:`~repro.core.index.movement_dtype` (int16 whenever
+``ka // 2 <= 32767``), so coordinate ``c`` of every row is one
+contiguous run that the kernel gathers through its lookup table without
+copying a block first.  The store's shard files hold the same bytes
+(:mod:`repro.engine.storage`).  Sharding buys three things:
 
 * **parallelism** — shards are independent, so a worker pool can scan
   them concurrently (``workers > 1`` uses a shared thread pool; the numpy
   kernels release the GIL for the bulk of their work);
 * **incremental persistence** — each shard serialises to its own
-  mmap-able file (:mod:`repro.engine.storage`), so a store opens in O(1)
-  and loads pages on demand;
-* **bounded working set** — a shard's matrix is ``~N/W`` rows, keeping
-  per-scan temporaries inside cache at database sizes where a flat matrix
+  mmap-able file, so a store opens in O(1) and loads pages on demand;
+* **bounded working set** — a shard holds ``~N/W`` rows, keeping
+  per-scan temporaries inside cache at database sizes where a flat array
   would spill.
 
 Shard assignment hashes the sketch *content* (ring positions weighted by
@@ -33,12 +40,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from repro.core.index import (
+    BatchLuts,
     _as_movement_matrix,
     _as_movement_vector,
-    _scan_survivors,
     batch_match_rows,
-    group_luts,
-    uses_luts,
+    movement_dtype,
 )
 from repro.core.numberline import IntArray
 from repro.core.params import SystemParams
@@ -54,42 +60,46 @@ _INITIAL_SHARD_CAPACITY = 256
 #: int64/uint64 temporaries stay a few MB whatever the batch size.
 _HASH_ROWS = 4096
 
+#: Rows transposed per step by :meth:`_Shard.append_block`.
+_TRANSPOSE_ROWS = 512
+
 
 class _Shard:
-    """One partition: a growable ``(count, n)`` matrix + global row ids.
+    """One partition: a growable coordinate-major ``(n, count)`` array
+    (at :func:`~repro.core.index.movement_dtype`) + global row ids.
 
-    The matrix may start life as a read-only ``np.memmap`` (opened store);
+    The array may start life as a read-only ``np.memmap`` (opened store);
     the first mutation promotes it to an in-memory copy.
     """
 
     def __init__(self, params: SystemParams,
-                 matrix: np.ndarray | None = None,
+                 columns: np.ndarray | None = None,
                  row_ids: np.ndarray | None = None) -> None:
         self.params = params
-        if matrix is None:
-            self._matrix = np.empty((_INITIAL_SHARD_CAPACITY, params.n),
-                                    dtype=np.int32)
+        if columns is None:
+            self._columns = np.empty((params.n, _INITIAL_SHARD_CAPACITY),
+                                     dtype=movement_dtype(params))
             self._row_ids = np.empty(_INITIAL_SHARD_CAPACITY, dtype=np.int64)
             self._count = 0
             self._frozen = False
         else:
-            if matrix.shape[0] != row_ids.shape[0]:
+            if columns.shape[1] != row_ids.shape[0]:
                 raise ParameterError(
-                    f"shard matrix has {matrix.shape[0]} rows but "
+                    f"shard array has {columns.shape[1]} rows but "
                     f"{row_ids.shape[0]} row ids"
                 )
-            self._matrix = matrix
+            self._columns = columns
             self._row_ids = row_ids
-            self._count = matrix.shape[0]
+            self._count = columns.shape[1]
             self._frozen = True  # memmap-backed; promote before writing
 
     def __len__(self) -> int:
         return self._count
 
     @property
-    def matrix(self) -> np.ndarray:
-        """The live ``(count, n)`` view of this shard's sketches."""
-        return self._matrix[: self._count]
+    def columns(self) -> np.ndarray:
+        """The live ``(n, count)`` view of this shard's sketches."""
+        return self._columns[:, : self._count]
 
     @property
     def row_ids(self) -> np.ndarray:
@@ -100,25 +110,31 @@ class _Shard:
         needed = self._count + extra
         if self._frozen:  # promote a memmap to an exact-fit RAM copy
             capacity = max(needed, _INITIAL_SHARD_CAPACITY)
-        elif needed <= self._matrix.shape[0]:
+        elif needed <= self._columns.shape[1]:
             return
         else:
-            capacity = max(self._matrix.shape[0], 1)
+            capacity = max(self._columns.shape[1], 1)
             while capacity < needed:
                 capacity *= 2
-        matrix = np.empty((capacity, self.params.n), dtype=np.int32)
-        matrix[: self._count] = self._matrix[: self._count]
+        columns = np.empty((self.params.n, capacity),
+                           dtype=movement_dtype(self.params))
+        columns[:, : self._count] = self.columns
         row_ids = np.empty(capacity, dtype=np.int64)
-        row_ids[: self._count] = self._row_ids[: self._count]
-        self._matrix, self._row_ids = matrix, row_ids
+        row_ids[: self._count] = self.row_ids
+        self._columns, self._row_ids = columns, row_ids
         self._frozen = False
 
     def append_block(self, block: np.ndarray, row_ids: np.ndarray) -> None:
-        """Append validated rows (int32) with their global ids."""
+        """Append validated ``(k, n)`` rows with their global ids."""
         if block.shape[0] == 0:
             return
         self._reserve(block.shape[0])
-        self._matrix[self._count: self._count + block.shape[0]] = block
+        # Transposed a row block at a time: one whole-block strided copy
+        # runs about 4x slower.
+        for lo in range(0, block.shape[0], _TRANSPOSE_ROWS):
+            rows = block[lo: lo + _TRANSPOSE_ROWS]
+            at = self._count + lo
+            self._columns[:, at: at + rows.shape[0]] = rows.T
         self._row_ids[self._count: self._count + block.shape[0]] = row_ids
         self._count += block.shape[0]
 
@@ -128,7 +144,8 @@ class _Shard:
         For memmap-backed shards this is what lets the mapping and its
         fd be freed — the shard's reference is usually the last one.
         """
-        self._matrix = np.empty((0, self.params.n), dtype=np.int32)
+        self._columns = np.empty((self.params.n, 0),
+                                 dtype=movement_dtype(self.params))
         self._row_ids = np.empty(0, dtype=np.int64)
         self._count = 0
         self._frozen = False
@@ -137,7 +154,7 @@ class _Shard:
 class ShardedSketchIndex:
     """W-way hash-partitioned sketch index with batch and parallel search.
 
-    Shares the flat indexes' surface (``add`` / ``add_many`` /
+    Shares the reference indexes' surface (``add`` / ``add_many`` /
     ``search`` / ``len``) and adds :meth:`search_batch` — the ``(B, n)``
     probe-matrix entry point the identification engine serves traffic
     through.
@@ -149,7 +166,7 @@ class ShardedSketchIndex:
     shards:
         Number of partitions ``W``.
     chunk:
-        Coordinate-chunk width for the early-abort kernels.
+        Coordinate-chunk width: survivors are compacted after each chunk.
     workers:
         Thread-pool size for parallel shard scans; ``None`` or ``1``
         scans serially (the right default on single-core hosts).
@@ -182,7 +199,7 @@ class ShardedSketchIndex:
                    parts: list[tuple[np.ndarray, np.ndarray]],
                    total: int, chunk: int = 8,
                    workers: int | None = None) -> "ShardedSketchIndex":
-        """Rebuild an index from per-shard ``(matrix, row_ids)`` pairs.
+        """Rebuild an index from per-shard ``(columns, row_ids)`` pairs.
 
         The arrays are used as-is (typically read-only memmaps from
         :mod:`repro.engine.storage`); appending later promotes the touched
@@ -192,8 +209,8 @@ class ShardedSketchIndex:
                     workers=workers)
         if parts:  # empty parts: keep the constructor's one empty shard
             index._shards = [
-                _Shard(params, matrix=matrix, row_ids=row_ids)
-                for matrix, row_ids in parts
+                _Shard(params, columns=columns, row_ids=row_ids)
+                for columns, row_ids in parts
             ]
         index._total = total
         return index
@@ -213,8 +230,9 @@ class ShardedSketchIndex:
         return tuple(len(shard) for shard in self._shards)
 
     def shard_parts(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-shard ``(matrix, row_ids)`` views, for the storage layer."""
-        return [(shard.matrix, shard.row_ids) for shard in self._shards]
+        """Per-shard ``(columns, row_ids)`` views, for the storage layer;
+        ``columns`` is the coordinate-major ``(n, count)`` array."""
+        return [(shard.columns, shard.row_ids) for shard in self._shards]
 
     def _shard_of(self, block: np.ndarray) -> np.ndarray:
         """Deterministic content-hash shard assignment for ``(B, n)`` rows.
@@ -251,8 +269,9 @@ class ShardedSketchIndex:
         """Bulk-insert a ``(B, n)`` stack; returns global row ids.
 
         One hash pass (in bounded row chunks) assigns every row to its
-        shard, then each shard receives a single contiguous block write.
-        A validated int32 stack is used as-is, with no widening copy.
+        shard, then each shard receives a single block write.  A
+        validated int16 or int32 stack is used as-is, with no widening
+        copy.
         """
         block = _as_movement_matrix(self.params, sketches, "sketches")
         count = block.shape[0]
@@ -307,44 +326,30 @@ class ShardedSketchIndex:
         self._total = 0
 
     def search(self, probe: IntArray) -> list[int]:
-        """Global row ids of all enrolled sketches matching ``probe``.
-
-        Same match set (and order) as the flat indexes: shard-local
-        survivors are mapped through the shard's global-id table and
-        merge-sorted.
-        """
-        probe = _as_movement_vector(self.params, probe, "probe")
-        ka, t = self.params.interval_width, self.params.t
-
-        def scan(shard: _Shard) -> np.ndarray:
-            local = _scan_survivors(shard.matrix, probe, ka, t, self.chunk)
-            return shard.row_ids[local]
-
-        hits = self._map_shards(scan)
-        if not hits:
-            return []
-        return np.sort(np.concatenate(hits)).tolist()
+        """Global row ids of all enrolled sketches matching ``probe``: a
+        :meth:`search_batch` of one."""
+        row = _as_movement_vector(self.params, probe, "probe")
+        return self.search_batch(row[None])[0]
 
     def search_batch(self, probes: IntArray) -> list[list[int]]:
         """Global row ids matching each row of a ``(B, n)`` probe matrix.
 
         Every shard evaluates the whole batch in one
-        :func:`~repro.core.index.batch_match_rows` pass over one read-only
-        set of lookup tables built for the batch; per-probe hits are merged
-        across shards.  Equivalent to ``B`` :meth:`search` calls (the
-        engine's parity tests assert this exactly).
+        :func:`~repro.core.index.batch_match_rows` pass, and all of them
+        read one :class:`~repro.core.index.BatchLuts`, so each lookup
+        table is built once per batch; per-probe hits are merged across
+        shards and sorted, so the ids come in enrollment order.
         """
         probes = _as_movement_matrix(self.params, probes, "probes")
         n_probes = probes.shape[0]
         if n_probes == 0:
             return []
         ka, t = self.params.interval_width, self.params.t
-        luts = group_luts(probes, ka, t) if any(
-            uses_luts(len(shard), ka) for shard in self._shards) else None
+        luts = BatchLuts(probes, ka, t)
 
         def scan(shard: _Shard) -> list[np.ndarray]:
-            local = batch_match_rows(shard.matrix, probes, ka, t, self.chunk,
-                                     luts=luts)
+            local = batch_match_rows(shard.columns, probes, ka, t,
+                                     self.chunk, luts=luts)
             return [shard.row_ids[rows] for rows in local]
 
         per_shard = self._map_shards(scan)

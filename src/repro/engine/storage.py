@@ -11,17 +11,19 @@ O(1):
     (temp file + ``os.replace``), so a crashed save never leaves a
     directory that parses as a valid store.
 ``shard-NNNN.sketches`` / ``shard-NNNN.rows``
-    One pair per shard: the ``(count, n)`` int32 sketch matrix and the
-    ``(count,)`` int64 global row ids, raw little-endian, row-major.
-    Opened as read-only memmaps; the OS pages sketch data in on first
-    touch, so opening a million-record store costs only the manifest
-    parse.
+    One pair per shard: the coordinate-major ``(n, count)`` sketch array
+    exactly as the scan reads it (:mod:`repro.engine.sharded`), at
+    :func:`~repro.core.index.movement_dtype` — int16 when
+    ``ka // 2 <= 32767``, else int32 — and the ``(count,)`` int64 global
+    row ids, raw little-endian.  Opened as read-only memmaps; the OS
+    pages sketch data in on first touch, so opening a million-record
+    store costs only the manifest parse.
 ``records.bin`` / ``records.idx``
     Length-prefixed record blobs (user id, verify key, helper data) plus
     a ``(N+1,)`` uint64 offset table.  Records are materialised lazily
     one at a time through :class:`LazyRecordFile`; nothing is parsed at
     open time.
-``status.bin`` (formats 2 and 3)
+``status.bin`` (formats 2 and later)
     One byte per row: the sketch-version lifecycle status
     (:mod:`repro.engine.lifecycle`), read fully at open (N bytes — the
     only per-record cost the open path pays) because the engine mutates
@@ -30,21 +32,23 @@ O(1):
     engine's journal attachment mode (``journal``: true/false/null), so a
     reopened engine resumes both without being told.
 
-Format 3 is the current one.  Its layout is format 2's; what changed is
-the helper blob inside each record, which
-:meth:`~repro.core.extractor.HelperData.to_bytes` now writes in the
-compact layout (two bytes per movement at the usual ``ka`` instead of
-eight).  The version was raised so that a build that cannot read compact
-blobs refuses the store at open, not at its first record lookup.
-
+Format 4 is the current one; the shard layout above is what it changed.
 Older directories open read-compatibly and the next save writes format
-3.  Their records keep the legacy helper layout, which
-:meth:`~repro.core.extractor.HelperData.from_bytes` still reads, in a
-format-2 store or in a journal written before the compact layout.  A
-format-1 directory (saved before sketch lifecycle existed) also opens
-through a compatibility shim: every row reads as an active version and
-``journal_seq`` defaults to the record count — exactly the semantics it
-was saved with.
+4:
+
+* Formats 1–3 hold each shard as a row-major ``(count, n)`` int32
+  matrix.  Open range-checks it and transposes it into RAM once, so
+  such a store does not open in O(1), but it scans like any other.
+* Format 3 introduced the compact helper blob inside each record
+  (:meth:`~repro.core.extractor.HelperData.to_bytes`, two bytes per
+  movement at the usual ``ka`` instead of eight).  Older records keep
+  the legacy helper layout, which
+  :meth:`~repro.core.extractor.HelperData.from_bytes` still reads, in a
+  format-2 store or in a journal written before the compact layout.
+* A format-1 directory (saved before sketch lifecycle existed) opens
+  through a compatibility shim: every row reads as an active version
+  and ``journal_seq`` defaults to the record count — exactly the
+  semantics it was saved with.
 
 Everything stored is public helper data: integrity matters,
 confidentiality does not.
@@ -63,22 +67,24 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro import faults
+from repro.core.index import _as_movement_matrix, movement_dtype
 from repro.core.params import SystemParams
 from repro.exceptions import ParameterError
 from repro.ioutil import atomic_replace
 from repro.protocols.database import UserRecord
 
-FORMAT_VERSION = 3
-#: Formats :func:`open_store` accepts; format 1 (pre-lifecycle) opens
-#: through the all-rows-active compatibility shim, and format 2 differs
-#: from 3 only in holding legacy-layout helper blobs alone.
-SUPPORTED_FORMATS = (1, 2, FORMAT_VERSION)
+FORMAT_VERSION = 4
+#: Formats :func:`open_store` accepts; formats 1-3 hold row-major int32
+#: shard files, format 1 (pre-lifecycle) opens through the
+#: all-rows-active compatibility shim, and format 2 holds legacy-layout
+#: helper blobs alone.
+SUPPORTED_FORMATS = (1, 2, 3, FORMAT_VERSION)
 _MANIFEST = "manifest.json"
 _RECORDS_BIN = "records.bin"
 _RECORDS_IDX = "records.idx"
 _STATUS_BIN = "status.bin"
 
-_SKETCH_DTYPE = np.dtype("<i4")
+_LEGACY_SKETCH_DTYPE = np.dtype("<i4")
 _ROWID_DTYPE = np.dtype("<i8")
 _OFFSET_DTYPE = np.dtype("<u8")
 
@@ -203,6 +209,8 @@ class OpenedStore:
     """
 
     params: SystemParams
+    #: Per-shard ``(columns, row_ids)``: the ``(n, count)`` sketch array
+    #: and the ``(count,)`` global row ids.
     shard_parts: list[tuple[np.ndarray, np.ndarray]]
     records: LazyRecordFile
     total_records: int
@@ -251,7 +259,7 @@ def write_store(path: str | Path, params: SystemParams,
                 journal_mode: bool | None = None) -> None:
     """Persist shards + records as an engine store directory.
 
-    ``shard_parts`` is the per-shard ``(matrix, row_ids)`` list (see
+    ``shard_parts`` is the per-shard ``(columns, row_ids)`` list (see
     :meth:`ShardedSketchIndex.shard_parts`); ``records`` is iterated once
     in global row order.  ``statuses`` is one lifecycle status byte per
     record (all active when omitted); ``journal_seq`` is the journal
@@ -277,13 +285,14 @@ def write_store(path: str | Path, params: SystemParams,
     staged: list[tuple[str, Path]] = []
     try:
         counts = []
-        for index, (matrix, row_ids) in enumerate(shard_parts):
+        sketch_dtype = movement_dtype(params).newbyteorder("<")
+        for index, (columns, row_ids) in enumerate(shard_parts):
             sketch_name, rows_name = _shard_names(index)
-            block = np.ascontiguousarray(matrix, dtype=_SKETCH_DTYPE)
+            block = np.ascontiguousarray(columns, dtype=sketch_dtype)
             ids = np.ascontiguousarray(row_ids, dtype=_ROWID_DTYPE)
             _stage(path / sketch_name, block, staged)
             _stage(path / rows_name, ids, staged)
-            counts.append(int(block.shape[0]))
+            counts.append(int(block.shape[1]))
 
         offsets = [0]
         total = 0
@@ -363,7 +372,8 @@ def open_store(path: str | Path) -> OpenedStore:
 
     No sketch or record bytes are read here — pages fault in as search
     and record access touch them (see :meth:`IdentificationEngine.warm`
-    for deliberate pre-touching).
+    for deliberate pre-touching).  The exception is a format 1-3 store,
+    whose row-major shard files are read once and transposed into RAM.
     """
     path = Path(path)
     manifest_path = path / _MANIFEST
@@ -392,12 +402,20 @@ def open_store(path: str | Path) -> OpenedStore:
         )
 
     shard_parts = []
+    sketch_dtype = movement_dtype(params).newbyteorder("<")
     for index, count in enumerate(counts):
         sketch_name, rows_name = _shard_names(index)
-        matrix = _memmap(path / sketch_name, _SKETCH_DTYPE,
-                         (int(count), params.n))
+        if store_format == FORMAT_VERSION:
+            columns = _memmap(path / sketch_name, sketch_dtype,
+                              (params.n, int(count)))
+        else:  # row-major int32: check and transpose into RAM once
+            rows = _memmap(path / sketch_name, _LEGACY_SKETCH_DTYPE,
+                           (int(count), params.n))
+            columns = np.ascontiguousarray(
+                _as_movement_matrix(params, rows, sketch_name).T,
+                dtype=sketch_dtype)
         row_ids = _memmap(path / rows_name, _ROWID_DTYPE, (int(count),))
-        shard_parts.append((matrix, row_ids))
+        shard_parts.append((columns, row_ids))
 
     offsets = _memmap(path / _RECORDS_IDX, _OFFSET_DTYPE, (total + 1,))
     records = LazyRecordFile(path / _RECORDS_BIN, offsets)

@@ -466,6 +466,10 @@ class NetworkServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass  # peer already gone; nothing left to flush
+            except asyncio.CancelledError:
+                # Shutdown cancelled us again while closing: end quietly,
+                # or the stream protocol's done-callback logs the cancel.
+                pass
 
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter,

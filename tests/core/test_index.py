@@ -1,4 +1,8 @@
-"""Tests for the sketch search structures (scan, prefix index, naive loop)."""
+"""Tests for the sketch search structures (scan, prefix index, naive loop).
+
+The scan index is ``ShardedSketchIndex(shards=1)``, the flat form of the
+engine's index; its kernel reads a coordinate-major ``(n, N)`` array.
+"""
 
 import numpy as np
 import pytest
@@ -8,17 +12,24 @@ from hypothesis import strategies as st
 from repro.core.index import (
     NaiveLoopIndex,
     PrefixBucketIndex,
-    VectorizedScanIndex,
     batch_match_rows,
+    movement_dtype,
 )
 from repro.core.matching import match_matrix
 from repro.core.params import SystemParams
 from repro.core.sketch import ChebyshevSketch
 from repro.crypto.prng import HmacDrbg
+from repro.engine.sharded import ShardedSketchIndex
 from repro.exceptions import ParameterError
 
+
+def _scan_index(params, chunk=8):
+    """The flat scan index: one shard."""
+    return ShardedSketchIndex(params, shards=1, chunk=chunk)
+
+
 INDEX_FACTORIES = [
-    pytest.param(lambda p: VectorizedScanIndex(p), id="scan"),
+    pytest.param(lambda p: _scan_index(p), id="scan"),
     pytest.param(lambda p: PrefixBucketIndex(p, depth=3), id="prefix"),
     pytest.param(lambda p: NaiveLoopIndex(p), id="naive"),
 ]
@@ -123,7 +134,7 @@ class TestAgreementProperty:
         probe = rng.integers(-half, half + 1, size=params.n)
 
         expected = np.nonzero(match_matrix(enrolled, probe, params))[0].tolist()
-        for factory in (lambda p: VectorizedScanIndex(p),
+        for factory in (lambda p: _scan_index(p),
                         lambda p: PrefixBucketIndex(p, depth=3),
                         lambda p: NaiveLoopIndex(p)):
             index = factory(params)
@@ -143,7 +154,7 @@ class TestBatchSearch:
         half = params.interval_width // 2
         enrolled = rng.integers(-half, half + 1, size=(n_users, params.n))
         probes = rng.integers(-half, half + 1, size=(n_probes, params.n))
-        index = VectorizedScanIndex(params)
+        index = _scan_index(params)
         if n_users:
             index.add_many(enrolled)
         expected = [
@@ -154,7 +165,7 @@ class TestBatchSearch:
         assert index.search_batch(probes) == expected
 
     def test_search_batch_rejects_out_of_range(self, small_params):
-        index = VectorizedScanIndex(small_params)
+        index = _scan_index(small_params)
         bad = np.full((1, small_params.n), small_params.interval_width)
         with pytest.raises(ParameterError, match="movements"):
             index.search_batch(bad)
@@ -167,7 +178,7 @@ class TestBatchSearch:
         half = params.interval_width // 2
         enrolled = rng.integers(-half, half + 1, size=(2500, params.n))
         probes = rng.integers(-half, half + 1, size=(5, params.n))
-        index = VectorizedScanIndex(params)
+        index = _scan_index(params)
         index.add_many(enrolled)
         expected = [
             np.nonzero(match_matrix(enrolled, probe, params))[0].tolist()
@@ -183,13 +194,13 @@ class TestBatchSearch:
         params = SystemParams(a=5, k=4, v=8, t=4, n=6)
         rng = np.random.default_rng(seed)
         half = params.interval_width // 2
-        enrolled = rng.integers(-half, half + 1,
-                                size=(n_users, params.n)).astype(np.int32)
+        enrolled = rng.integers(-half, half + 1, size=(n_users, params.n))
+        columns = np.ascontiguousarray(enrolled.T, dtype=np.int16)
         probes = rng.integers(-half, half + 1, size=(6, params.n))
         ka, t = params.interval_width, params.t
-        pure_lut = batch_match_rows(enrolled, probes, ka, t, chunk=3,
+        pure_lut = batch_match_rows(columns, probes, ka, t, chunk=3,
                                     pair_threshold=0)
-        pure_scan = batch_match_rows(enrolled, probes, ka, t, chunk=3,
+        pure_scan = batch_match_rows(columns, probes, ka, t, chunk=3,
                                      pair_threshold=10 ** 9)
         expected = [
             np.nonzero(match_matrix(enrolled, probe, params))[0]
@@ -201,14 +212,16 @@ class TestBatchSearch:
 
 class TestScanInternals:
     def test_grows_past_initial_capacity(self, small_params):
-        index = VectorizedScanIndex(small_params, capacity=2)
-        for i in range(10):
-            index.add(np.zeros(small_params.n, dtype=np.int64))
-        assert len(index) == 10
+        index = _scan_index(small_params)
+        for i in range(300):
+            index.add(np.full(small_params.n, 3 * (i % 3) - 3))
+        assert len(index) == 300
+        assert index.search(np.full(small_params.n, 3)) == \
+            list(range(2, 300, 3))
 
     def test_chunk_one_works(self, paper_params):
         sk, templates, sketches = _population_sketches(paper_params, 10)
-        index = VectorizedScanIndex(paper_params, chunk=1)
+        index = _scan_index(paper_params, chunk=1)
         for s in sketches:
             index.add(s)
         probe = sk.sketch(templates[4], HmacDrbg(b"c1"))
@@ -216,7 +229,7 @@ class TestScanInternals:
 
     def test_rejects_zero_chunk(self, paper_params):
         with pytest.raises(ParameterError, match="chunk"):
-            VectorizedScanIndex(paper_params, chunk=0)
+            _scan_index(paper_params, chunk=0)
 
 
 class TestPrefixInternals:

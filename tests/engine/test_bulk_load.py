@@ -2,8 +2,8 @@
 write-ahead regressions.
 
 ``IdentificationEngine.add_many`` decodes helper data in fixed-size
-groups into one int32 matrix and validates it before the first journal
-write; ``add``, ``reenroll``, ``rotate`` and a follower's
+groups into one matrix at the index dtype and validates it before the
+first journal write; ``add``, ``reenroll``, ``rotate`` and a follower's
 ``apply_replicated`` validate before theirs.  A refused record must
 leave the engine and its journal untouched, or the journal stops
 replaying.  The one-pass group decode must accept and refuse exactly
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.extractor import HelperData, decode_movement_rows
 from repro.core.params import SystemParams
-from repro.core.index import _as_movement_matrix
+from repro.core.index import _as_movement_matrix, movement_dtype
 from repro.engine import IdentificationEngine
 from repro.engine import engine as engine_module
 from repro.engine import sharded as sharded_module
@@ -95,7 +95,7 @@ class TestChunkBoundaries:
         records = _uniform_records(paper_params, 11)
         monkeypatch.setattr(engine_module, "_DECODE_GROUP", 4)
         matrix = engine_module._decode_movements(paper_params, records)
-        assert matrix.dtype == np.int32
+        assert matrix.dtype == movement_dtype(paper_params) == np.int16
         np.testing.assert_array_equal(
             matrix, np.stack([r.helper().movements for r in records]))
 
@@ -120,8 +120,9 @@ class TestChunkBoundaries:
         np.testing.assert_array_equal(index._shard_of(block), one_pass)
         assert set(one_pass.tolist()) <= {0, 1, 2}
 
-    def test_int32_matrix_is_checked_in_place(self, paper_params):
-        matrix = np.zeros((3, paper_params.n), dtype=np.int32)
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32])
+    def test_narrow_matrix_is_checked_in_place(self, paper_params, dtype):
+        matrix = np.zeros((3, paper_params.n), dtype=dtype)
         assert _as_movement_matrix(paper_params, matrix, "sketches") \
             is matrix
         widened = _as_movement_matrix(paper_params,

@@ -384,7 +384,8 @@ class TestCompaction:
 
 class TestStoreCompatShim:
     def test_v1_store_opens_through_shim(self, tmp_path, paper_params,
-                                         rng, population):
+                                         rng, population,
+                                         write_legacy_layout):
         """A pre-lifecycle (format 1) store opens unchanged: statuses
         default to all-active and the operation count to the record
         count."""
@@ -394,15 +395,12 @@ class TestStoreCompatShim:
         engine.add_many(records)
         engine.save(store)
 
-        # Rewrite the directory to the v1 layout: format 1 manifest
-        # without the lifecycle keys, no status sidecar.
+        # Rewrite the directory to the v1 layout: row-major int32 shard
+        # files, a format 1 manifest without the lifecycle keys, and no
+        # status sidecar.
+        write_legacy_layout(
+            store, [r.helper().movements for r in records], 1)
         manifest_path = store / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["format"] = 1
-        manifest.pop("journal_seq", None)
-        manifest.pop("journal", None)
-        manifest_path.write_text(json.dumps(manifest))
-        (store / "status.bin").unlink()
 
         shimmed = IdentificationEngine.open(store)
         assert len(shimmed) == len(records)
@@ -418,13 +416,14 @@ class TestStoreCompatShim:
         # And it round-trips forward: a save writes the current layout.
         shimmed.save(store)
         assert (store / "status.bin").exists()
-        assert json.loads(manifest_path.read_text())["format"] == 3
+        assert json.loads(manifest_path.read_text())["format"] == 4
 
     def test_legacy_helper_blobs_open_replay_and_identify(
-            self, tmp_path, paper_params, rng, population):
+            self, tmp_path, paper_params, rng, population,
+            write_legacy_layout):
         """A format-2 store and a journal whose records hold legacy
         (int64) helper blobs open, replay and identify; the blobs are
-        served byte for byte, and the next save writes format 3."""
+        served byte for byte, and the next save writes format 4."""
         records, templates, fe, _ = population
         legacy = [_legacy_record(record) for record in records]
         assert all(r.helper_data[:1] == b"\x00" for r in legacy)
@@ -438,10 +437,9 @@ class TestStoreCompatShim:
             journaled.add(record)
         journaled.journal.close()
         journaled.close()
+        write_legacy_layout(
+            store, [r.helper().movements for r in legacy[:2]], 2)
         manifest_path = store / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["format"] = 2
-        manifest_path.write_text(json.dumps(manifest))
 
         reopened = IdentificationEngine.open(store)
         try:
@@ -457,7 +455,7 @@ class TestStoreCompatShim:
                 assert fe.reproduce(template, record.helper()) == \
                     fe.reproduce(template, compact.helper())
             reopened.save(store)
-            assert json.loads(manifest_path.read_text())["format"] == 3
+            assert json.loads(manifest_path.read_text())["format"] == 4
         finally:
             reopened.journal.close()
             reopened.close()

@@ -5,6 +5,7 @@ performance moves: every search mode returns *exactly* the match sets of
 the naive per-record loop, for any shard count.
 """
 
+import json
 from functools import partial
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core import index as index_module
 from repro.core.extractor import HelperData
-from repro.core.index import NaiveLoopIndex, VectorizedScanIndex
+from repro.core.index import NaiveLoopIndex, movement_dtype
 from repro.core.params import SystemParams
 from repro.engine import IdentificationEngine
 from repro.engine import sharded as sharded_module
@@ -25,6 +26,8 @@ from repro.protocols.database import UserRecord
 SHARD_COUNTS = [1, 2, 7]
 
 SMALL = SystemParams(a=5, k=4, v=8, t=4, n=6)
+#: ``ka/2 = 32768`` does not fit int16, so the index stores int32.
+WIDE = SystemParams(a=16384, k=4, v=8, t=4096, n=6)
 
 
 def _random_population(params, n_users, seed):
@@ -150,7 +153,7 @@ class TestShardedBehaviour:
 
 
 class TestBatchKernelAgreement:
-    """`VectorizedScanIndex.search_batch` is the shard kernel's flat twin."""
+    """One shard (the flat index): a batch equals its per-probe searches."""
 
     @given(seed=st.integers(0, 500), n_users=st.integers(0, 40),
            n_probes=st.integers(0, 6))
@@ -161,7 +164,7 @@ class TestBatchKernelAgreement:
         half = SMALL.interval_width // 2
         enrolled = rng.integers(-half, half + 1, size=(n_users, SMALL.n))
         probes = rng.integers(-half, half + 1, size=(n_probes, SMALL.n))
-        index = VectorizedScanIndex(SMALL)
+        index = ShardedSketchIndex(SMALL, shards=1)
         if n_users:
             index.add_many(enrolled)
         expected = [index.search(probe) for probe in probes]
@@ -175,7 +178,7 @@ class TestBatchKernelAgreement:
         probes = rng.integers(-half, half + 1, size=(130, SMALL.n))
         index = ShardedSketchIndex(SMALL, shards=2)
         index.add_many(enrolled)
-        flat = VectorizedScanIndex(SMALL)
+        flat = ShardedSketchIndex(SMALL, shards=1)
         flat.add_many(enrolled)
         expected = [flat.search(probe) for probe in probes]
         assert index.search_batch(probes) == expected
@@ -183,33 +186,51 @@ class TestBatchKernelAgreement:
 
 
 def _count_lut_builds(monkeypatch) -> list:
-    """Route every LUT build through a counter; returns the call log."""
+    """Route every LUT build through a counter; returns the log of the
+    ``(probes, coordinates)`` shape each table was built for."""
     calls = []
-    build = index_module.group_luts
+    build = index_module.group_lut
 
-    def counted(probes, ka, t):
-        calls.append(probes.shape[0])
-        return build(probes, ka, t)
+    def counted(group, ka, t):
+        calls.append(group.shape)
+        return build(group, ka, t)
 
-    monkeypatch.setattr(index_module, "group_luts", counted)
-    monkeypatch.setattr(sharded_module, "group_luts", counted)
+    monkeypatch.setattr(index_module, "group_lut", counted)
     return calls
 
 
 class TestLutsPerBatch:
     def test_tables_built_once_per_batch_not_per_shard(self, monkeypatch):
-        """Four shards that each enter the LUT phase share one build."""
+        """Four shards that each enter the LUT phase share each chunk's
+        table: at most one build per coordinate chunk (three here),
+        where one per shard would be at least four."""
         rows_per_shard = index_module.PAIR_THRESHOLD + 500
         enrolled, probes = _random_population(SMALL, 4 * rows_per_shard, 9)
         index = ShardedSketchIndex(SMALL, shards=4, chunk=2)
         index.add_many(enrolled)
         assert min(index.shard_sizes()) > index_module.PAIR_THRESHOLD
-        flat = VectorizedScanIndex(SMALL)
+        flat = ShardedSketchIndex(SMALL, shards=1)
         flat.add_many(enrolled)
         expected = [flat.search(probe) for probe in probes]
         calls = _count_lut_builds(monkeypatch)
         assert index.search_batch(probes) == expected
-        assert calls == [len(probes)]
+        assert 1 <= len(calls) <= SMALL.n // 2
+        assert calls == [(len(probes), 2)] * len(calls)
+
+    def test_only_the_chunks_a_scan_reaches_are_built(self, monkeypatch):
+        """At paper geometry the first chunk of 8 coordinates prunes a
+        single probe's 3000 rows to a few, so one ``(1, 8)`` table is
+        built, not one per coordinate: a search is a batch of one, and
+        must not pay an ``O(n * ka)`` build."""
+        params = SystemParams.paper_defaults(n=100)
+        enrolled, probes = _random_population(params, 3000, 8)
+        index = ShardedSketchIndex(params, shards=1)
+        index.add_many(enrolled)
+        naive = NaiveLoopIndex(params)
+        naive.add_many(enrolled)
+        calls = _count_lut_builds(monkeypatch)
+        assert index.search(enrolled[17]) == naive.search(enrolled[17])
+        assert calls == [(1, 8)]
 
     def test_small_shards_build_no_tables(self, monkeypatch):
         """Below the LUT gate (the identify-1k regime) nothing is built."""
@@ -254,62 +275,119 @@ def _wrap_edge_population(params, seed):
 @pytest.fixture
 def pure_lut(monkeypatch):
     """Every batch scan stays in the LUT phase to the last coordinate
-    (``pair_threshold=0``); returns the LUT build log."""
+    (``pair_threshold=0``, and no ring too wide for the rows); returns
+    the LUT build log."""
+    monkeypatch.setattr(index_module, "_LUT_ROWS_FACTOR", 1 << 30)
     kernel = partial(index_module.batch_match_rows, pair_threshold=0)
     monkeypatch.setattr(index_module, "batch_match_rows", kernel)
     monkeypatch.setattr(sharded_module, "batch_match_rows", kernel)
-    monkeypatch.setattr(sharded_module, "uses_luts",
-                        partial(index_module.uses_luts, pair_threshold=0))
     return _count_lut_builds(monkeypatch)
 
 
-class TestModuloFreeGather:
-    """Raw negative movements index the LUTs exactly as ``v % ka`` would."""
+def _edge_record(row_id: int, movements) -> UserRecord:
+    return UserRecord(f"edge-{row_id}", b"", HelperData(
+        movements=movements, tag=b"", seed=b"").to_bytes())
 
-    @pytest.fixture
-    def population(self):
-        rows, probes, near, far = _wrap_edge_population(SMALL, seed=5)
-        naive = NaiveLoopIndex(SMALL)
+
+def _saved_engine(params, rows, store):
+    """Enroll ``rows`` in a 4-shard engine and save it to ``store``."""
+    engine = IdentificationEngine(params, shards=4)
+    engine.add_many([_edge_record(i, row) for i, row in enumerate(rows)])
+    engine.save(store)
+    engine.close()
+    return store
+
+
+class TestModuloFreeGather:
+    """Raw negative movements index the LUTs exactly as ``v % ka`` would,
+    at either storage dtype."""
+
+    @pytest.fixture(params=[SMALL, WIDE], ids=["int16", "int32"])
+    def population(self, request):
+        params = request.param
+        rows, probes, near, far = _wrap_edge_population(params, seed=5)
+        naive = NaiveLoopIndex(params)
         naive.add_many(rows)
         expected = [naive.search(probe) for probe in probes]
         for hits, built_near, built_far in zip(expected, near, far):
             assert set(built_near) <= set(hits)
             assert not set(built_far) & set(hits)
-        return rows, probes, expected
+        return params, rows, probes, expected
 
-    def test_flat_index(self, population, pure_lut):
-        rows, probes, expected = population
-        index = VectorizedScanIndex(SMALL)
-        index.add_many(rows)
-        assert index.search_batch(probes) == expected
-        assert pure_lut
+    def test_flat_index(self, population, pure_lut, request):
+        """The kernel alone, on one bare coordinate-major array."""
+        params, rows, probes, expected = population
+        dtype = movement_dtype(params)
+        assert dtype.name == request.node.callspec.id
+        columns = np.ascontiguousarray(rows.T, dtype=dtype)
+        hits = index_module.batch_match_rows(
+            columns, probes, params.interval_width, params.t)
+        assert [h.tolist() for h in hits] == expected
+        assert pure_lut == [probes.shape]
 
     @pytest.mark.parametrize("workers", [None, 2])
     @pytest.mark.parametrize("shards", [1, 3, 4])
     def test_sharded_index(self, population, pure_lut, shards, workers):
-        rows, probes, expected = population
-        index = ShardedSketchIndex(SMALL, shards=shards, workers=workers)
+        params, rows, probes, expected = population
+        index = ShardedSketchIndex(params, shards=shards, workers=workers)
         index.add_many(rows)
         try:
             assert index.search_batch(probes) == expected
+            assert [index.search(probe) for probe in probes] == expected
         finally:
             index.close()
-        assert pure_lut == [len(probes)]
+        assert pure_lut == [probes.shape] + [(1, params.n)] * len(probes)
 
     def test_engine_opened_from_store(self, population, pure_lut, tmp_path):
-        rows, probes, expected = population
-        engine = IdentificationEngine(SMALL, shards=4)
-        engine.add_many([
-            UserRecord(f"edge-{i}", b"", HelperData(
-                movements=row, tag=b"", seed=b"").to_bytes())
-            for i, row in enumerate(rows)])
-        engine.save(tmp_path / "store")
-        engine.close()
-        opened = IdentificationEngine.open(tmp_path / "store")
+        """A format-4 store maps its shard files read-only, with no copy
+        at open; an add promotes just the shard it lands in to RAM."""
+        params, rows, probes, expected = population
+        store = _saved_engine(params, rows, tmp_path / "store")
+        opened = IdentificationEngine.open(store)
         try:
-            matrices = [m for m, _ in opened._index.shard_parts()]
-            assert not any(m.flags.writeable for m in matrices)
+            columns = [c for c, _ in opened._index.shard_parts() if c.size]
+            assert all(isinstance(c, np.memmap) and not c.flags.writeable
+                       for c in columns)
+            assert {c.dtype for c in columns} == {movement_dtype(params)}
             assert opened.search_batch(probes) == expected
+
+            opened.add(_edge_record(len(rows), probes[0]))
+            naive = NaiveLoopIndex(params)
+            naive.add_many(np.vstack([rows, probes[:1]]))
+            columns = [c for c, _ in opened._index.shard_parts() if c.size]
+            promoted = [c for c in columns if not isinstance(c, np.memmap)]
+            assert len(promoted) == 1 and promoted[0].flags.writeable
+            assert opened.search_batch(probes) == \
+                [naive.search(probe) for probe in probes]
         finally:
             opened.close()
-        assert pure_lut == [len(probes)]
+        assert pure_lut == [probes.shape] * 2
+
+    @pytest.mark.parametrize("store_format", [1, 2, 3])
+    def test_engine_opened_from_legacy_store(self, population, pure_lut,
+                                             tmp_path, store_format,
+                                             write_legacy_layout):
+        """A store whose shard files hold the format 1-3 row-major int32
+        layout opens (transposed into RAM once), identifies, and its
+        next save writes format 4, which then maps without a copy."""
+        params, rows, probes, expected = population
+        store = _saved_engine(params, rows, tmp_path / "store")
+        write_legacy_layout(store, rows, store_format)
+        opened = IdentificationEngine.open(store)
+        try:
+            assert {c.dtype for c, _ in opened._index.shard_parts()} == \
+                {movement_dtype(params)}
+            assert opened.search_batch(probes) == expected
+            opened.save(store)
+        finally:
+            opened.close()
+        manifest = json.loads((store / "manifest.json").read_text())
+        assert manifest["format"] == 4
+        again = IdentificationEngine.open(store)
+        try:
+            assert all(isinstance(c, np.memmap)
+                       for c, _ in again._index.shard_parts() if c.size)
+            assert again.search_batch(probes) == expected
+        finally:
+            again.close()
+        assert pure_lut == [probes.shape] * 2

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.extractor import SuccinctFuzzyExtractor
+from repro.core.index import movement_dtype
 from repro.crypto.prng import HmacDrbg
 from repro.engine import IdentificationEngine, open_store
 from repro.exceptions import ParameterError
@@ -84,7 +85,8 @@ class TestRoundTrip:
         stats = opened.stats()
         assert stats.cold_opened and not stats.warmed
         touched = opened.warm()
-        assert touched >= 10 * paper_params.n * 4  # at least the matrices
+        width = movement_dtype(paper_params).itemsize
+        assert touched >= 10 * paper_params.n * width  # at least the sketches
         assert opened.stats().warmed
         opened.close()
 
@@ -247,6 +249,18 @@ class TestManifestValidation:
         data = victim.read_bytes()
         victim.write_bytes(data[:-4])
         with pytest.raises(ParameterError, match="bytes"):
+            open_store(store_dir)
+
+    def test_out_of_range_legacy_shard_refused(self, saved_engine,
+                                               write_legacy_layout):
+        """A format 1-3 shard file is range-checked as it is transposed
+        into RAM: a value outside [-ka/2, ka/2] is refused, not wrapped
+        into the narrower dtype."""
+        store_dir, engine, _, _ = saved_engine
+        rows = np.stack([r.helper().movements for r in engine.all_records()])
+        rows[3, 0] = engine.params.interval_width
+        write_legacy_layout(store_dir, rows, 3)
+        with pytest.raises(ParameterError, match="must lie in"):
             open_store(store_dir)
 
     def test_missing_shard_file_detected(self, saved_engine):

@@ -5,6 +5,8 @@ acceptor, blocking client — over localhost sockets, under the suite's
 SIGALRM watchdog so a wedged loop fails fast instead of hanging CI.
 """
 
+import asyncio
+import logging
 import socket
 import threading
 import time
@@ -467,6 +469,44 @@ class TestAccountingAndLifecycle:
                 assert sock.recv(1) == b""
             except ConnectionResetError:
                 pass  # a reset is as prompt an answer as EOF
+
+    def test_shutdown_cancel_during_connection_close_logs_nothing(
+            self, net_params, fast_scheme, population, watchdog,
+            monkeypatch, caplog):
+        """A peer that hangs up as the server shuts down leaves its
+        connection task in ``writer.wait_closed()`` when close() cancels
+        it.  That cancel must end the task quietly: nothing may reach the
+        asyncio logger or an event loop's exception handler (it used to
+        log an ``Exception in callback ... CancelledError`` traceback).
+        ``wait_closed`` is held open here so the cancel lands there
+        every time, not only when the race is lost."""
+        _, server, _ = _build_stack(
+            net_params, fast_scheme, population, b"quiet")
+        closing = threading.Event()
+
+        async def held_open(writer):
+            closing.set()
+            await asyncio.Event().wait()
+
+        handled = []
+        report = asyncio.BaseEventLoop.call_exception_handler
+
+        def recording(loop, context):
+            handled.append(context)
+            report(loop, context)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "wait_closed", held_open)
+        monkeypatch.setattr(asyncio.BaseEventLoop, "call_exception_handler",
+                            recording)
+        caplog.set_level(logging.WARNING, logger="asyncio")
+        net = NetworkServer(server)
+        host, port = net.start()
+        socket.create_connection((host, port), timeout=2.0).close()
+        assert closing.wait(5.0), "connection task never began its close"
+        net.close()
+        assert handled == []
+        assert [r.getMessage() for r in caplog.records
+                if r.name.startswith("asyncio")] == []
 
     def test_close_after_failed_start_reraises_bind_error(self, net_params,
                                                           fast_scheme,
